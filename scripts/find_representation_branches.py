@@ -24,10 +24,9 @@ def scan_ta1():
                     continue
                 hits += 1
                 if hits <= 8:
-                    v = pu6.representation_positivity("Ta1", p, {"branch": +1})
-                    pat = pu6.equivalence_check(
-                        pu6.build_representation("Ta1", p, {"branch": +1}), p
-                    ).pattern
+                    rep = pu6.build_representation("Ta1", p, {"branch": +1})
+                    v = pu6.representation_positivity(pu6.transformed_coefficients(rep, p), p)
+                    pat = pu6.equivalence_check(rep, p).pattern
                     print(
                         f"  omegas ({w1:.3f}, {w2:.3f}, {w3:.3f})  pattern {pat}"
                         f"  positive {v.positive}  min_eig {v.min_eigenvalue:.3e}"
@@ -50,8 +49,8 @@ def scan_tc1(mu0=1.0, kappa2=2.0):
                     continue
                 hits += 1
                 if hits <= 8:
-                    choices = {"mu0": mu0, "nu0": r, "tau0": r}
-                    v = pu6.representation_positivity("Tc1", p, choices)
+                    rep = pu6.build_representation("Tc1", p, {"mu0": mu0, "nu0": r, "tau0": r})
+                    v = pu6.representation_positivity(pu6.transformed_coefficients(rep, p), p)
                     print(
                         f"  omegas ({w1:.3f}, {w2:.3f}, {w3:.3f})"
                         f"  positive {v.positive}  min_eig {v.min_eigenvalue:.3e}"
@@ -74,7 +73,7 @@ def scan_tb1():
                 continue
             hits += 1
             if hits <= 8:
-                v = pu6.representation_positivity("Tb1", p, {"tau2_branch": tb, "g3_branch": gb})
+                v = pu6.representation_positivity(pu6.transformed_coefficients(rep, p), p)
                 print(
                     f"  (alpha, beta, gamma) = ({p.alpha:.3f}, {p.beta:.3f}, {p.gamma:.3f})"
                     f"  branches ({tb:+d},{gb:+d})  tau2 {rep.auxiliary['tau2']:.3f}"

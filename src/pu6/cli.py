@@ -5,12 +5,15 @@ deterministic for a fixed config and seed (CSV uses '.' decimals and 17
 significant digits so doubles round-trip exactly).
 
 Exit codes: 0 success, 1 failed verification, 2 malformed configuration,
-3 overflow during integration, 4 complex representation branch.
+3 overflow during integration, 4 complex representation branch.  Errors map
+to codes 1-4 through ``EXIT_TABLE``.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -32,6 +35,20 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NONFINITE = 3
 EXIT_COMPLEX_BRANCH = 4
+
+# error type -> (exit code, stderr prefix); the first matching row wins, so
+# subclasses come before Pu6Error
+EXIT_TABLE = (
+    ((ConfigError, ComplexFrequencies), EXIT_CONFIG, "config error"),
+    (NonFinite, EXIT_NONFINITE, "integration overflow"),
+    (ComplexBranch, EXIT_COMPLEX_BRANCH, "complex branch"),
+    (Pu6Error, EXIT_VERIFY_FAILED, "error"),
+)
+
+
+def exit_status(error: type) -> tuple[int, str]:
+    """(exit code, stderr prefix) for a Pu6Error subclass, from EXIT_TABLE."""
+    return next((code, prefix) for types, code, prefix in EXIT_TABLE if issubclass(error, types))
 
 
 @dataclass
@@ -65,15 +82,20 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
         raise ConfigError("give either omegas or (alpha, beta, gamma), not both")
     if not has_omegas and not has_params:
         raise ConfigError("config must specify omegas or (alpha, beta, gamma)")
-    if has_omegas:
-        om = model["omegas"]
-        if not (isinstance(om, (list, tuple)) and len(om) == 3):
-            raise ConfigError(f"omegas must be a list of three reals, got {om!r}")
-        omegas = tuple(float(v) for v in om)
-        params = params_from_frequencies(frequency_triple(*omegas))
-    else:
-        omegas = None
-        params = PUParams(float(model["alpha"]), float(model["beta"]), float(model["gamma"]))
+    try:
+        if has_omegas:
+            om = model["omegas"]
+            if not (isinstance(om, (list, tuple)) and len(om) == 3):
+                raise ConfigError(f"omegas must be a list of three reals, got {om!r}")
+            omegas = tuple(float(v) for v in om)
+            params = params_from_frequencies(frequency_triple(*omegas))
+        else:
+            omegas = None
+            params = PUParams(float(model["alpha"]), float(model["beta"]), float(model["gamma"]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model values must be reals: {exc}") from exc
+    if not all(map(math.isfinite, (params.alpha, params.beta, params.gamma))):
+        raise ConfigError(f"model parameters must be finite, got {params}")
     return RunConfig(
         params=params,
         omegas=omegas,
@@ -83,10 +105,20 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
     )
 
 
-def _open_out(path: Optional[str], default=sys.stdout):
+@contextlib.contextmanager
+def _output(path: Optional[str]):
+    """The file at ``path``, or the sys.stdout current at call time when no path is given."""
     if path is None:
-        return default, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as fh:
+            yield fh
+
+
+def _write_json(path: Optional[str], obj: dict) -> None:
+    with _output(path) as stream:
+        json.dump(obj, stream, indent=2, sort_keys=True)
+        stream.write("\n")
 
 
 def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
@@ -119,7 +151,7 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
         try:
             sol = dynamics.solve_exact(cfg.frequencies, initial)
             divergent = dynamics.divergent_mode_present(sol)
-        except (ComplexFrequencies, Pu6Error):
+        except Pu6Error:
             sol = None
     else:
         sol = None
@@ -146,9 +178,7 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
     }
     if divergent is not None:
         summary["divergent_mode_present"] = bool(divergent)
-    with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(json_path, summary)
     print(f"wrote {csv_path} and {json_path}")
     return EXIT_OK
 
@@ -169,13 +199,7 @@ def cmd_verify(cfg: RunConfig, out: Optional[str]) -> int:
         ],
         "all_passed": verification.suite_passed(results),
     }
-    stream, close = _open_out(out)
-    try:
-        json.dump(report, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-    finally:
-        if close:
-            stream.close()
+    _write_json(out, report)
     if not report["all_passed"]:
         first = next(r for r in results if r.status == "fail")
         print(f"verification failed at: {first.name} ({first.detail})", file=sys.stderr)
@@ -189,12 +213,8 @@ def cmd_scan(cfg: RunConfig, out: Optional[str]) -> int:
         raise ConfigError("scan requires a 'scan' section with the grid spec")
     grid = positivity.GridSpec.from_json(sec)
     result = positivity.region_scan(grid, cfg.frequencies)
-    stream, close = _open_out(out)
-    try:
+    with _output(out) as stream:
         result.write_csv(stream)
-    finally:
-        if close:
-            stream.close()
     print(
         f"{result.positive_count()} positive of {len(result.cells)} cells; "
         f"{len(result.disagreements)} method disagreements",
@@ -210,8 +230,8 @@ def cmd_represent(cfg: RunConfig, out: Optional[str]) -> int:
     p = cfg.params
     rep = representations.build_representation(kind, p, choices)
     report = representations.equivalence_check(rep, p)
-    c456 = representations.transformed_coefficients(kind, p, choices)
-    verdict = representations.representation_positivity(kind, p, choices)
+    c456 = representations.transformed_coefficients(rep, p)
+    verdict = representations.representation_positivity(c456, p)
     payload = {
         "representation": rep.to_json_dict(),
         "equivalence_pattern": list(report.pattern),
@@ -223,13 +243,7 @@ def cmd_represent(cfg: RunConfig, out: Optional[str]) -> int:
             "prefactors": list(verdict.prefactors) if verdict.prefactors else None,
         },
     }
-    stream, close = _open_out(out)
-    try:
-        json.dump(payload, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-    finally:
-        if close:
-            stream.close()
+    _write_json(out, payload)
     return EXIT_OK
 
 
@@ -273,18 +287,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = load_config(args.config, args)
         return _COMMANDS[args.command](cfg, args.out)
-    except (ConfigError, ComplexFrequencies) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NonFinite as exc:
-        print(f"integration overflow: {exc}", file=sys.stderr)
-        return EXIT_NONFINITE
-    except ComplexBranch as exc:
-        print(f"complex branch: {exc}", file=sys.stderr)
-        return EXIT_COMPLEX_BRANCH
     except Pu6Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+        code, prefix = exit_status(type(exc))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -110,6 +110,7 @@ class QuadraticForm:
         return 0.5 * float(s @ self.matrix @ s)
 
     def gradient(self, q) -> np.ndarray:
+        """Exact gradient A q of the form 1/2 q^T A q."""
         return self.matrix @ np.asarray(q, dtype=float)
 
 
@@ -320,11 +321,6 @@ def poisson_tensor(k: int, p: PUParams) -> PoissonTensor:
     else:
         raise ValueError(f"poisson_tensor is defined for k in 1..3, got {k}")
     return PoissonTensor(J - J.T, tag=f"J{k}")
-
-
-def gradient(h: QuadraticForm, q) -> np.ndarray:
-    """Exact gradient A q of the form 1/2 q^T A q."""
-    return h.gradient(q)
 
 
 def poisson_bracket(f: QuadraticForm, g: QuadraticForm, j: PoissonTensor) -> QuadraticForm:

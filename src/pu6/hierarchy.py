@@ -172,41 +172,43 @@ def _pair_products(p: PUParams) -> np.ndarray:
     return np.linalg.eigvals(comp)
 
 
-def coeffs_dual(c4: float, c5: float, c6: float, p: PUParams) -> CombinationCoeffs:
-    """Tensor weights (c1,c2,c3) dual to given Hamiltonian weights (c4,c5,c6).
+def _duality_table(p: PUParams) -> np.ndarray:
+    """Bilinear map T behind the combined flow: e_i = sum_ab T[i,a,b] c_(1+a) c_(4+b).
 
-    The combined flow of the result equals the original flow F.  The common
-    denominator is the product of c6 m^2 + c5 m + c4 over the three pairwise
-    products m of squared frequencies; a vanishing factor means the chosen
-    Hamiltonian combination is degenerate for that mode pair.
+    (e1, e2, e3) are the weights of Jbar grad(Hbar) over X1, X2, X3 for
+    tensor weights (c1,c2,c3) and Hamiltonian weights (c4,c5,c6).
     """
     p.require_gamma()
     al, be, ga = p.alpha, p.beta, p.gamma
-    delta = (
-        al ** 2 * c4 * c6 ** 2 * ga ** 2
-        + al * be * c4 * c5 * c6 * ga
-        - 2.0 * al * c4 ** 2 * c6 * ga
-        + al * c4 * c5 ** 2 * ga
-        + al * c5 * c6 ** 2 * ga ** 3
-        + be ** 2 * c4 ** 2 * c6
-        + be * c4 ** 2 * c5
-        - 2.0 * be * c4 * c6 ** 2 * ga ** 2
-        + be * c5 ** 2 * c6 * ga ** 2
-        + c4 ** 3
-        - 3.0 * c4 * c5 * c6 * ga ** 2
-        + c5 ** 3 * ga ** 2
-        + c6 ** 3 * ga ** 4
+    return np.array(
+        [
+            [[1.0, 0.0, 0.0], [al / ga, 1.0, 0.0], [(al * al - be) / ga ** 2, al / ga, 1.0]],
+            [[0.0, 0.0, -ga], [-1.0 / ga, 0.0, 0.0], [-al / ga ** 2, -1.0 / ga, 0.0]],
+            [[0.0, 1.0, be], [0.0, 0.0, 1.0], [1.0 / ga ** 2, 0.0, 0.0]],
+        ]
     )
+
+
+def coeffs_dual(c4: float, c5: float, c6: float, p: PUParams) -> CombinationCoeffs:
+    """Tensor weights (c1,c2,c3) dual to given Hamiltonian weights (c4,c5,c6).
+
+    The combined flow of the result equals the original flow F: the weights
+    solve the 3x3 system T(c4,c5,c6) (c1,c2,c3) = (1,0,0) of the duality
+    table.  Its determinant is proportional to the product of
+    c6 m^2 + c5 m + c4 over the three pairwise products m of squared
+    frequencies; a vanishing factor means the chosen Hamiltonian combination
+    is degenerate for that mode pair.
+    """
+    p.require_gamma()
     factors = np.array([c6 * m * m + c5 * m + c4 for m in _pair_products(p)])
     scale = max(abs(c4), abs(c5), abs(c6), float(np.abs(factors).max()))
     if np.abs(factors).min() < 1e-12 * max(scale, 1e-300):
         raise SingularCombination(
             f"denominator factor vanishes for (c4,c5,c6)=({c4},{c5},{c6}): factors {factors}"
         )
-    n1 = c4 ** 2 - al * ga * c4 * c6 - ga ** 2 * c5 * c6
-    n2 = al * ga * c4 * c5 + ga * (al * be - ga) * c4 * c6 + ga ** 2 * c5 ** 2 + be * ga ** 2 * c5 * c6
-    n3 = ga ** 4 * c6 ** 2 - be * ga ** 2 * c4 * c6 - ga ** 2 * c4 * c5
-    return CombinationCoeffs(n1 / delta, n2 / delta, n3 / delta, c4, c5, c6)
+    m = _duality_table(p) @ np.array([c4, c5, c6])
+    c1, c2, c3 = np.linalg.solve(m, [1.0, 0.0, 0.0])
+    return CombinationCoeffs(c1, c2, c3, c4, c5, c6)
 
 
 def coeffs_from_tensor(c1: float, c2: float, c3: float, p: PUParams) -> CombinationCoeffs:
@@ -253,17 +255,4 @@ def flow_expansion_coefficients(c: CombinationCoeffs, p: PUParams) -> np.ndarray
     The combined flow reproduces the original one exactly when
     (e1, e2, e3) = (1, 0, 0).
     """
-    p.require_gamma()
-    al, be, ga = p.alpha, p.beta, p.gamma
-    c1, c2, c3 = c.poisson_weights
-    c4, c5, c6 = c.hamiltonian_weights
-    e1 = (
-        (al * al - be) / ga ** 2 * c3 * c4
-        + al / ga * (c2 * c4 + c3 * c5)
-        + c1 * c4
-        + c2 * c5
-        + c3 * c6
-    )
-    e2 = -(al / ga ** 2 * c3 * c4 + (c2 * c4 + c3 * c5) / ga + ga * c1 * c6)
-    e3 = c3 * c4 / ga ** 2 + be * c6 * c1 + c5 * c1 + c2 * c6
-    return np.array([e1, e2, e3])
+    return _duality_table(p) @ np.array(c.hamiltonian_weights) @ np.array(c.poisson_weights)

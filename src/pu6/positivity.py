@@ -11,16 +11,22 @@ for that criterion rather than a fallback.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .core import DIM, FrequencyTriple, QuadraticForm, params_from_frequencies
+from .core import (
+    DIM,
+    FrequencyTriple,
+    PUParams,
+    QuadraticForm,
+    hamiltonian_form,
+    params_from_frequencies,
+)
 from .errors import ConfigError, DegenerateFrequencies, SingularCombination
-from .hierarchy import CombinationCoeffs, coeffs_from_tensor, combined_form
+from .hierarchy import CombinationCoeffs, coeffs_from_tensor
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))  # unordered index pairs, 1-based frequency labels
 
@@ -141,7 +147,7 @@ def tensor_weight_polynomials(c1: float, c2: float, c3: float, f: FrequencyTripl
     )
 
 
-def eigenvalue_split(form: QuadraticForm, rel_tol: float = 1e-10):
+def eigenvalue_split(form: QuadraticForm):
     """(min eigenvalue, its eigenvector, spectral norm) of a form matrix."""
     vals, vecs = np.linalg.eigh(form.matrix)
     norm = float(np.abs(vals).max())
@@ -175,22 +181,32 @@ def positivity_verdict(
             method="prefactor",
         )
     if method == "eigenvalue":
-        p = params_from_frequencies(f)
-        form = combined_form(c, p)
-        lam, vec, norm = eigenvalue_split(form)
-        positive = lam > 1e-10 * norm
-        witness = vec if (not positive and lam <= 0.0) else None
-        pref = None
-        if not f.is_degenerate():
-            pref = tuple(hbar_prefactors(c.c4, c.c5, c.c6, f))
-        return PositivityVerdict(
-            positive=bool(positive),
-            prefactors=pref,
-            witness=witness,
-            method="eigenvalue",
-            min_eigenvalue=lam,
-        )
+        return eigenvalue_verdict(c.hamiltonian_weights, params_from_frequencies(f), f)
     raise ValueError(f"method must be 'prefactor' or 'eigenvalue', got {method!r}")
+
+
+def eigenvalue_verdict(
+    weights: tuple[float, float, float], p: PUParams, f: Optional[FrequencyTriple]
+) -> PositivityVerdict:
+    """Eigenvalue-route verdict on Hbar = c4 H1 + c5 H2 + c6 H3 with ``weights`` (c4,c5,c6).
+
+    Positive iff the smallest eigenvalue exceeds 1e-10 times the spectral
+    norm; a non-positive eigenvalue's eigenvector is returned as witness.
+    Block prefactors are attached when ``f`` holds real, non-degenerate
+    frequencies; the verdict itself needs neither.
+    """
+    form = QuadraticForm(sum(w * hamiltonian_form(k + 1, p).matrix for k, w in enumerate(weights)))
+    lam, vec, norm = eigenvalue_split(form)
+    pref = None
+    if f is not None and not f.is_degenerate():
+        pref = tuple(hbar_prefactors(*weights, f))
+    return PositivityVerdict(
+        positive=bool(lam > 1e-10 * norm),
+        prefactors=pref,
+        witness=vec if lam <= 0.0 else None,
+        method="eigenvalue",
+        min_eigenvalue=lam,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +238,11 @@ class GridSpec:
         if names != set(_AXIS_NAMES):
             raise ConfigError(f"grid axes must cover c1, c2, c3 exactly once, got {names}")
         for ax in (self.axis1, self.axis2):
-            if ax.n < 1 or not (ax.lo <= ax.hi):
+            # the width also overflows for finite bounds too far apart
+            if ax.n < 1 or not (ax.lo <= ax.hi) or not math.isfinite(ax.hi - ax.lo):
                 raise ConfigError(f"bad axis {ax}")
+        if not math.isfinite(self.fixed_value):
+            raise ConfigError(f"fixed weight must be finite, got {self.fixed_value}")
 
     @staticmethod
     def from_json(obj: dict) -> "GridSpec":
@@ -243,7 +262,7 @@ class GridSpec:
 class CellVerdict:
     c_x: float
     c_y: float
-    verdict: str  # positive | not_positive | singular | error:<name>
+    verdict: str  # positive | not_positive | singular
     min_eigenvalue: float
     prefactors: tuple[float, float, float]
     methods_disagree: bool = False
@@ -283,10 +302,10 @@ def _axis_values(ax: AxisSpec) -> np.ndarray:
 def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
     """Evaluate both positivity routes on every grid cell.
 
-    Cells are visited in row-major axis1-outer order; per-cell failures are
-    recorded as a cell status instead of aborting the scan.  Disagreements
-    between the two routes are recorded and expected only inside the
-    boundary band where a prefactor crosses zero.
+    Cells are visited in row-major axis1-outer order; a singular tensor
+    combination is recorded as a cell status instead of aborting the scan.
+    Disagreements between the two routes are recorded and expected only
+    inside the boundary band where a prefactor crosses zero.
     """
     _require_non_degenerate(f)
     p = params_from_frequencies(f)
@@ -304,11 +323,6 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
             except SingularCombination:
                 result.cells.append(CellVerdict(x, y, "singular", math.nan, nan3))
                 continue
-            except Exception as exc:  # per-cell status, never abort the scan
-                result.cells.append(
-                    CellVerdict(x, y, f"error:{type(exc).__name__}", math.nan, nan3)
-                )
-                continue
             verdict = "positive" if by_pref.positive else "not_positive"
             result.cells.append(
                 CellVerdict(
@@ -321,10 +335,3 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
                 )
             )
     return result
-
-
-def grid_spec_from_json_text(text: str) -> GridSpec:
-    try:
-        return GridSpec.from_json(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"grid spec is not valid JSON: {exc}") from exc

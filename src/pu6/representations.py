@@ -34,12 +34,15 @@ from .core import (
 )
 from .errors import (
     ComplexBranch,
+    ComplexFrequencies,
+    ConfigError,
     DegenerateFrequencies,
     EquivalenceFailure,
     InvalidPermutation,
     ZeroDenominator,
     ZeroKinetic,
 )
+from .positivity import PositivityVerdict, eigenvalue_verdict
 
 KINDS = ("Ta1", "Ta2", "Tb1", "Tc1")
 
@@ -295,8 +298,8 @@ _BUILDERS = {"Ta1": _build_ta1, "Ta2": _build_ta2, "Tb1": _build_tb1, "Tc1": _bu
 
 def build_representation(kind: str, p: PUParams, free_choices: Optional[dict] = None) -> Representation:
     """Construct one of the named families at the given model parameters."""
-    if kind not in _BUILDERS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    if kind not in KINDS:
+        raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
     return _BUILDERS[kind](p, dict(free_choices or {}))
 
 
@@ -437,9 +440,7 @@ def phase_space_map(r: Representation, p: PUParams) -> np.ndarray:
     return np.vstack([T, np.diag(r.params3d.a) @ vel])
 
 
-def transformed_coefficients(
-    kind: str, p: PUParams, free_choices: Optional[dict] = None
-) -> tuple[float, float, float]:
+def transformed_coefficients(r: Representation, p: PUParams) -> tuple[float, float, float]:
     """Weights (c4,c5,c6) with the pulled-back 3D energy equal to c4 H1 + c5 H2 + c6 H3.
 
     The pullback of the phase-space form through the projection/velocity map
@@ -447,7 +448,6 @@ def transformed_coefficients(
     decomposition residual is checked, so a transcription error in a builder
     cannot silently produce wrong weights.
     """
-    r = build_representation(kind, p, free_choices)
     S = phase_space_map(r, p)
     A6 = S.T @ legendre_hamiltonian(r).matrix @ S
     cols = np.stack([hamiltonian_form(k, p).matrix.ravel() for k in (1, 2, 3)], axis=1)
@@ -455,36 +455,22 @@ def transformed_coefficients(
     resid = np.abs(cols @ sol - A6.ravel()).max()
     if resid > 1e-8 * max(1.0, np.abs(A6).max()):
         raise EquivalenceFailure(
-            -1, float(resid), f"pulled-back energy of {kind} is not a combination of H1..H3"
+            -1, float(resid), f"pulled-back energy of {r.kind} is not a combination of H1..H3"
         )
     return (float(sol[0]), float(sol[1]), float(sol[2]))
 
 
-def representation_positivity(kind: str, p: PUParams, free_choices: Optional[dict] = None):
-    """Definiteness verdict for the family's transformed Hamiltonian.
+def representation_positivity(
+    weights: tuple[float, float, float], p: PUParams
+) -> PositivityVerdict:
+    """Definiteness verdict for a family's transformed Hamiltonian with ``weights`` (c4,c5,c6).
 
     Uses the eigenvalue route on the combined form directly, so it also works
     outside the oscillatory parameter regime (where no real frequencies, and
     hence no block prefactors, exist).
     """
-    from .errors import ComplexFrequencies
-    from .positivity import PositivityVerdict, eigenvalue_split, hbar_prefactors
-
-    c4, c5, c6 = transformed_coefficients(kind, p, free_choices)
-    A = sum(w * hamiltonian_form(k, p).matrix for k, w in ((1, c4), (2, c5), (3, c6)))
-    lam, vec, norm = eigenvalue_split(QuadraticForm(A))
-    positive = lam > 1e-10 * norm
-    pref = None
     try:
         f = frequencies_from_params(p)
-        if not f.is_degenerate():
-            pref = tuple(hbar_prefactors(c4, c5, c6, f))
     except ComplexFrequencies:
-        pref = None
-    return PositivityVerdict(
-        positive=bool(positive),
-        prefactors=pref,
-        witness=vec if (not positive and lam <= 0.0) else None,
-        method="eigenvalue",
-        min_eigenvalue=lam,
-    )
+        f = None
+    return eigenvalue_verdict(weights, p, f)

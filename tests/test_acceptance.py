@@ -209,7 +209,8 @@ def test_criterion_8_representations():
     checks.append(pu6.equivalence_check(rep, STD).pattern == ("PU", "PU", "PU"))
     for _ in range(5):
         a = tuple(rng.uniform(0.2, 3.0, size=3))
-        v = pu6.representation_positivity("Ta2", STD, {"a": a})
+        rep_a = pu6.build_representation("Ta2", STD, {"a": a})
+        v = pu6.representation_positivity(pu6.transformed_coefficients(rep_a, STD), STD)
         checks.append(v.positive)
 
     # Tb1: real-branch draws are (PU, PU, trivial) and never positive
@@ -231,9 +232,7 @@ def test_criterion_8_representations():
                     continue
                 tb1_draws += 1
                 checks.append(pu6.equivalence_check(rep, p).pattern == ("PU", "PU", "trivial"))
-                v = pu6.representation_positivity(
-                    "Tb1", p, {"tau2_branch": tb, "g3_branch": gb}
-                )
+                v = pu6.representation_positivity(pu6.transformed_coefficients(rep, p), p)
                 checks.append(not v.positive)
 
     # Tc1 pattern
@@ -252,7 +251,7 @@ def test_criterion_8_representations():
     consistency_worst = 0.0
     for kind, p, choices in instances:
         rep = pu6.build_representation(kind, p, choices)
-        c4, c5, c6 = pu6.transformed_coefficients(kind, p, choices)
+        c4, c5, c6 = pu6.transformed_coefficients(rep, p)
         hs = [pu6.hamiltonian_form(k, p) for k in (1, 2, 3)]
         h3d = pu6.legendre_hamiltonian(rep)
         S = pu6.phase_space_map(rep, p)

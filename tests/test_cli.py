@@ -1,5 +1,10 @@
+import contextlib
+import io
 import json
 
+import pytest
+
+import pu6
 from pu6 import cli
 
 
@@ -127,6 +132,19 @@ def test_verify_gamma_zero_fails(tmp_path):
     assert any("GammaZero" in c["detail"] for c in failing)
 
 
+def test_verify_reports_exhausted_dual_draws(tmp_path, monkeypatch):
+    def always_singular(c4, c5, c6, p):
+        raise pu6.SingularCombination("forced")
+
+    monkeypatch.setattr(pu6.hierarchy, "coeffs_dual", always_singular)
+    out = tmp_path / "report.json"
+    code = cli.main(["--config", _write(tmp_path, "c.json", _model321()), "--out", str(out), "verify"])
+    assert code == 1
+    statuses = {c["name"]: c["status"] for c in json.loads(out.read_text())["checks"]}
+    assert statuses.pop("dual_flow_recovery") == "fail"
+    assert set(statuses.values()) == {"pass"}
+
+
 def test_verify_deterministic_with_seed(tmp_path):
     cfgp = _write(tmp_path, "c.json", _model321())
     outs = []
@@ -185,6 +203,17 @@ def test_scan_bad_grid(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "old, new", [('"min": -25', '"min": -1e400'), ('"value": 1.0', '"value": NaN')]
+)
+def test_scan_non_finite_grid(tmp_path, old, new):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_scan_cfg()).replace(old, new))
+    out = tmp_path / "region.csv"
+    assert cli.main(["--config", str(path), "--out", str(out), "scan"]) == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # represent
 # ---------------------------------------------------------------------------
@@ -213,9 +242,61 @@ def test_represent_tb1_real_branch(tmp_path):
     assert payload["positivity"]["positive"] is False
 
 
+def test_represent_to_redirected_stdout(tmp_path):
+    cfg = _model321()
+    cfg["represent"] = {"kind": "Ta2"}
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        code = cli.main(["--config", _write(tmp_path, "c.json", cfg), "represent"])
+    assert code == 0
+    assert json.loads(captured.getvalue())["equivalence_pattern"] == ["PU", "PU", "PU"]
+
+
 def test_represent_complex_branch_exit_4(tmp_path):
     for kind in ("Ta1", "Tb1"):
         cfg = _model321()
         cfg["represent"] = {"kind": kind}
         code = cli.main(["--config", _write(tmp_path, "c.json", cfg), "represent"])
         assert code == 4, kind
+
+
+# ---------------------------------------------------------------------------
+# malformed input and the exit table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "text, command",
+    [
+        ('{"model": {"omegas": [3, "two", 1]}}', "verify"),
+        ('{"model": {"alpha": "x", "beta": 49, "gamma": 36}}', "verify"),
+        ('{"model": {"alpha": NaN, "beta": 49, "gamma": 36}}', "verify"),
+        ('{"model": {"omegas": [3, 2, 1]}, "represent": {"kind": "Tx9"}}', "represent"),
+    ],
+)
+def test_malformed_input_exit_2(tmp_path, capsys, text, command):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "o.json"), command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_exit_table_covers_every_error():
+    special = {
+        pu6.ConfigError: 2,
+        pu6.ComplexFrequencies: 2,
+        pu6.DegenerateFrequencies: 1,
+        pu6.NonFinite: 3,
+        pu6.ComplexBranch: 4,
+    }
+    errors = list(_subclasses(pu6.Pu6Error))
+    assert set(special) <= set(errors)
+    assert {code for _, code, _ in cli.EXIT_TABLE} == {1, 2, 3, 4}
+    for error in errors:
+        assert cli.exit_status(error)[0] == special.get(error, 1), error

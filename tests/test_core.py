@@ -244,13 +244,13 @@ def test_poisson_field_condition(std_params, param_sets):
 
 def test_gradient_h1_unit_position(std_params):
     h = pu6.hamiltonian_form(1, std_params)
-    g = pu6.gradient(h, np.eye(6)[0])
+    g = h.gradient(np.eye(6)[0])
     np.testing.assert_allclose(g, [36.0, 0, 0, 0, 0, 0], atol=1e-14)
 
 
 def test_gradient_zero(std_params):
     h = pu6.hamiltonian_form(2, std_params)
-    np.testing.assert_array_equal(pu6.gradient(h, np.zeros(6)), np.zeros(6))
+    np.testing.assert_array_equal(h.gradient(np.zeros(6)), np.zeros(6))
 
 
 def test_gradient_finite_differences(std_params, rng):
@@ -265,7 +265,7 @@ def test_gradient_finite_differences(std_params, rng):
                 for e in np.eye(6)
             ]
         )
-        np.testing.assert_allclose(pu6.gradient(h, s), fd, atol=1e-6)
+        np.testing.assert_allclose(h.gradient(s), fd, atol=1e-6)
 
 
 def test_bracket_involution_base(std_params):
@@ -292,7 +292,7 @@ def test_bracket_value_against_direct_contraction(std_params, rng):
         fb = pu6.QuadraticForm(rng.normal(size=(6, 6)))
         br = pu6.poisson_bracket(fa, fb, j1)
         s = rng.uniform(-1, 1, size=6)
-        direct = pu6.gradient(fa, s) @ j1.matrix @ pu6.gradient(fb, s)
+        direct = fa.gradient(s) @ j1.matrix @ fb.gradient(s)
         assert br(s) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 

@@ -56,7 +56,7 @@ def test_ta2_pattern_and_positivity(std_params):
     rep = pu6.build_representation("Ta2", std_params)
     report = pu6.equivalence_check(rep, std_params)
     assert report.pattern == ("PU", "PU", "PU")
-    v = pu6.representation_positivity("Ta2", std_params)
+    v = pu6.representation_positivity(pu6.transformed_coefficients(rep, std_params), std_params)
     assert v.positive
     assert all(w > 0 for w in v.prefactors)
 
@@ -84,7 +84,8 @@ def test_ta2_degenerate_refused():
 
 
 def test_ta2_transformed_coefficients(std_params):
-    c4, c5, c6 = pu6.transformed_coefficients("Ta2", std_params)
+    rep = pu6.build_representation("Ta2", std_params)
+    c4, c5, c6 = pu6.transformed_coefficients(rep, std_params)
     al, be, ga = std_params.alpha, std_params.beta, std_params.gamma
     assert c4 == pytest.approx(98.0, rel=1e-9)  # w1^4 + w2^4 + w3^4
     assert c6 == pytest.approx(al / ga, rel=1e-9)
@@ -133,7 +134,7 @@ def test_ta1_real_branch_pattern():
 def test_ta1_transformed_coefficients_closed_form():
     p = _params(TA1_FREQS)
     al, be, ga = p.alpha, p.beta, p.gamma
-    c = pu6.transformed_coefficients("Ta1", p, {"branch": +1})
+    c = pu6.transformed_coefficients(pu6.build_representation("Ta1", p, {"branch": +1}), p)
     expected = (
         1.0 - 2.0 * al + 3.0 * al * al,
         3.0 + (be - 3.0 * al * be) / ga,
@@ -162,16 +163,17 @@ def test_tb1_transformed_coefficients_closed_form():
     rep = pu6.build_representation("Tb1", TB1_PARAMS, TB1_CHOICES)
     tau2 = rep.auxiliary["tau2"]
     al, be, ga = TB1_PARAMS.alpha, TB1_PARAMS.beta, TB1_PARAMS.gamma
-    c = pu6.transformed_coefficients("Tb1", TB1_PARAMS, TB1_CHOICES)
+    c = pu6.transformed_coefficients(rep, TB1_PARAMS)
     expected = (2 * al * al + tau2 * tau2, 2 * (1 - al * be / ga), 2 * al / ga)
     np.testing.assert_allclose(c, expected, rtol=1e-9)
 
 
 def test_tb1_never_positive():
     for g3_branch in (+1, -1):
-        v = pu6.representation_positivity(
+        rep = pu6.build_representation(
             "Tb1", TB1_PARAMS, {"tau2_branch": -1, "g3_branch": g3_branch}
         )
+        v = pu6.representation_positivity(pu6.transformed_coefficients(rep, TB1_PARAMS), TB1_PARAMS)
         assert not v.positive
         assert v.min_eigenvalue < 0
 
@@ -204,7 +206,7 @@ def test_tc1_transformed_coefficients_closed_form():
     mu0 = 1.0
     rep = pu6.build_representation("Tc1", p, {"mu0": mu0, "nu0": 1.0, "tau0": 1.0})
     k2 = rep.auxiliary["kappa2"]
-    c = pu6.transformed_coefficients("Tc1", p, {"mu0": mu0, "nu0": 1.0, "tau0": 1.0})
+    c = pu6.transformed_coefficients(rep, p)
     expected = (
         al * al - be + mu0 + al * (k2 - be * mu0) / ga,
         1.0 - be * (al * ga + k2 - be * mu0) / ga ** 2,
@@ -220,7 +222,7 @@ def test_tc1_positive_instance():
     choices = {"mu0": 1.0, "nu0": s2, "tau0": s2}
     rep = pu6.build_representation("Tc1", p, choices)
     assert rep.auxiliary["kappa2"] == pytest.approx(2.0)
-    v = pu6.representation_positivity("Tc1", p, choices)
+    v = pu6.representation_positivity(pu6.transformed_coefficients(rep, p), p)
     assert v.positive
 
 
@@ -258,7 +260,7 @@ def test_hamiltonian_consistency_routes():
     rng = np.random.default_rng(7)
     for kind, p, choices in _instances():
         rep = pu6.build_representation(kind, p, choices)
-        c4, c5, c6 = pu6.transformed_coefficients(kind, p, choices)
+        c4, c5, c6 = pu6.transformed_coefficients(rep, p)
         hs = [pu6.hamiltonian_form(k, p) for k in (1, 2, 3)]
         h3d = pu6.legendre_hamiltonian(rep)
         S = pu6.phase_space_map(rep, p)
@@ -311,7 +313,7 @@ def test_hamiltonian_consistency_across_parameter_draws():
         except (pu6.ComplexBranch, pu6.ZeroDenominator, pu6.DegenerateFrequencies):
             continue
         built[kind] += 1
-        c4, c5, c6 = pu6.transformed_coefficients(kind, p, choices)
+        c4, c5, c6 = pu6.transformed_coefficients(rep, p)
         hs = [pu6.hamiltonian_form(k, p) for k in (1, 2, 3)]
         h3d = pu6.legendre_hamiltonian(rep)
         S = pu6.phase_space_map(rep, p)
