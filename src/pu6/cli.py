@@ -59,12 +59,31 @@ class RunConfig:
     tol: Optional[float]  # overrides the degeneracy-classification tolerance
     sections: dict
 
+    def section(self, name: str) -> dict:
+        """The config object ``name``, empty when absent."""
+        sec = self.sections.get(name, {})
+        if not isinstance(sec, dict):
+            raise ConfigError(f"{name} must be an object, got {sec!r}")
+        return sec
+
     @property
     def frequencies(self):
         tol = self.tol if self.tol is not None else 1e-9
         if self.omegas is not None:
             return frequency_triple(*self.omegas, tol=tol)
         return frequencies_from_params(self.params, tol=tol)
+
+
+def _finite(value, name: str, kind: type = float):
+    """``value`` converted by ``kind`` (float or int); ConfigError unless it is finite."""
+    try:
+        out = kind(value)
+        if math.isfinite(out):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    what = "an integer" if kind is int else "a finite real"
+    raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig:
@@ -75,6 +94,8 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     model = raw.get("model", raw)
     has_omegas = "omegas" in model
     has_params = all(k in model for k in ("alpha", "beta", "gamma"))
@@ -96,11 +117,16 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
         raise ConfigError(f"model values must be reals: {exc}") from exc
     if not all(map(math.isfinite, (params.alpha, params.beta, params.gamma))):
         raise ConfigError(f"model parameters must be finite, got {params}")
+    seed = overrides.seed if overrides.seed is not None else raw.get("seed", 0)
+    seed = _finite(seed, "seed", int)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    tol = overrides.tol if overrides.tol is not None else raw.get("tol")
     return RunConfig(
         params=params,
         omegas=omegas,
-        seed=int(overrides.seed if overrides.seed is not None else raw.get("seed", 0)),
-        tol=overrides.tol if overrides.tol is not None else raw.get("tol"),
+        seed=seed,
+        tol=None if tol is None else _finite(tol, "tol"),
         sections=raw,
     )
 
@@ -122,9 +148,11 @@ def _write_json(path: Optional[str], obj: dict) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
-    sec = cfg.sections.get("simulate", {})
-    dt = float(sec.get("dt", 1e-3))
-    t_end = float(sec.get("t_end", 20.0))
+    sec = cfg.section("simulate")
+    dt = _finite(sec.get("dt", 1e-3), "simulate.dt")
+    t_end = _finite(sec.get("t_end", 20.0), "simulate.t_end")
+    if dt <= 0.0 or t_end <= 0.0:
+        raise ConfigError(f"simulate needs dt > 0 and t_end > 0, got dt={dt}, t_end={t_end}")
     initial = sec.get("initial", [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     method = sec.get("method", "rk4")
     if method not in ("rk4", "exact"):
@@ -184,8 +212,7 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out: Optional[str]) -> int:
-    sec = cfg.sections.get("verify", {})
-    n_random = int(sec.get("n_random", 20))
+    n_random = _finite(cfg.section("verify").get("n_random", 20), "verify.n_random", int)
     rng = np.random.default_rng(cfg.seed)
     results = verification.run_invariant_suite(
         cfg.params, rng=rng, n_random=n_random, tol=cfg.tol
@@ -224,7 +251,7 @@ def cmd_scan(cfg: RunConfig, out: Optional[str]) -> int:
 
 
 def cmd_represent(cfg: RunConfig, out: Optional[str]) -> int:
-    sec = cfg.sections.get("represent", {})
+    sec = cfg.section("represent")
     kind = sec.get("kind", "Ta2")
     choices = sec.get("free_choices", {})
     p = cfg.params

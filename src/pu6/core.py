@@ -14,6 +14,7 @@ antisymmetric tensors J with {f,g} = (grad f)^T J (grad g).  The three pairs
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,6 +322,19 @@ def poisson_tensor(k: int, p: PUParams) -> PoissonTensor:
     else:
         raise ValueError(f"poisson_tensor is defined for k in 1..3, got {k}")
     return PoissonTensor(J - J.T, tag=f"J{k}")
+
+
+@functools.lru_cache(maxsize=8)
+def _model_matrices(p: PUParams):
+    """Read-only (J1..J3, H1..H3, F) of one model, built once and shared by its callers.
+
+    The J tuple is empty when gamma = 0, where J2 and J3 do not exist.
+    """
+    js = tuple(poisson_tensor(k, p).matrix for k in (1, 2, 3)) if p.gamma != 0.0 else ()
+    hs = tuple(hamiltonian_form(n, p).matrix for n in (1, 2, 3))
+    F = flow_operator(p)
+    F.flags.writeable = False
+    return js, hs, F
 
 
 def poisson_bracket(f: QuadraticForm, g: QuadraticForm, j: PoissonTensor) -> QuadraticForm:

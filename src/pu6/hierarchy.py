@@ -23,7 +23,7 @@ from .core import (
     FrequencyTriple,
     PUParams,
     QuadraticForm,
-    flow_operator,
+    _model_matrices,
     frequencies_from_params,
     hamiltonian_form,
     poisson_tensor,
@@ -218,13 +218,9 @@ def coeffs_from_tensor(c1: float, c2: float, c3: float, p: PUParams) -> Combinat
     the chosen tensor combination cannot reproduce the flow.
     """
     p.require_gamma()
-    jbar = sum(
-        c * poisson_tensor(k, p).matrix for k, c in ((1, c1), (2, c2), (3, c3))
-    )
-    cols = np.stack(
-        [(jbar @ hamiltonian_form(k, p).matrix).ravel() for k in (1, 2, 3)], axis=1
-    )
-    F = flow_operator(p)
+    js, hs, F = _model_matrices(p)
+    jbar = sum(c * j for c, j in zip((c1, c2, c3), js))
+    cols = np.stack([(jbar @ h).ravel() for h in hs], axis=1)
     sol, _, rank, _ = np.linalg.lstsq(cols, F.ravel(), rcond=None)
     resid = np.abs(cols @ sol - F.ravel()).max()
     if rank < 3 or resid > 1e-8 * max(1.0, np.abs(F).max()):

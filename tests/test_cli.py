@@ -271,6 +271,16 @@ def test_represent_complex_branch_exit_4(tmp_path):
         ('{"model": {"alpha": "x", "beta": 49, "gamma": 36}}', "verify"),
         ('{"model": {"alpha": NaN, "beta": 49, "gamma": 36}}', "verify"),
         ('{"model": {"omegas": [3, 2, 1]}, "represent": {"kind": "Tx9"}}', "represent"),
+        ('[{"model": {"omegas": [3, 2, 1]}}]', "verify"),
+        ('{"model": {"omegas": [3, 2, 1]}, "seed": "x"}', "verify"),
+        ('{"model": {"omegas": [3, 2, 1]}, "seed": -1}', "verify"),
+        ('{"model": {"omegas": [3, 2, 1]}, "verify": {"n_random": "x"}}', "verify"),
+        ('{"model": {"omegas": [3, 2, 1]}, "verify": [20]}', "verify"),
+        ('{"model": {"omegas": [3, 2, 1]}, "tol": "x"}', "verify"),
+        ('{"model": {"omegas": [3, 2, 1]}, "tol": NaN}', "verify"),
+        ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"dt": NaN}}', "simulate"),
+        ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"dt": -0.1}}', "simulate"),
+        ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"t_end": Infinity}}', "simulate"),
     ],
 )
 def test_malformed_input_exit_2(tmp_path, capsys, text, command):

@@ -342,3 +342,22 @@ def test_ostrogradsky_energy_identity(std_params, rng):
         c = pu6.ostrogradsky_map(s, std_params)
         val = pu6.canonical_hamiltonian(c, std_params)
         assert abs(val - h1(s)) <= 1e-10 * max(1.0, abs(h1(s)))
+
+
+def test_model_matrices_cache(std_params):
+    from pu6.core import _model_matrices
+
+    js, hs, F = _model_matrices(std_params)
+    assert _model_matrices(std_params)[1] is hs
+    assert _model_matrices.cache_info().maxsize is not None
+    for m in (*js, *hs, F):
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+    for k in (1, 2, 3):  # bit for bit
+        assert hs[k - 1].tobytes() == pu6.hamiltonian_form(k, std_params).matrix.tobytes()
+        assert js[k - 1].tobytes() == pu6.poisson_tensor(k, std_params).matrix.tobytes()
+    assert F.tobytes() == pu6.flow_operator(std_params).tobytes()
+    other = _model_matrices(pu6.PUParams(6.0, 11.0, 6.0))
+    for a, b in zip((*js, *hs, F), (*other[0], *other[1], other[2])):
+        assert not np.array_equal(a, b)
+    assert _model_matrices(pu6.PUParams(1.0, 2.0, 0.0))[0] == ()

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -221,6 +222,85 @@ def test_scan_deterministic(std_freqs):
     pu6.region_scan(grid, std_freqs).write_csv(out1)
     pu6.region_scan(grid, std_freqs).write_csv(out2)
     assert out1.getvalue() == out2.getvalue()
+
+
+def _reference_scan(grid, f):
+    """Per-cell reference: the duality, then each positivity route on its own."""
+    p = pu6.params_from_frequencies(f)
+    nan3 = (np.nan, np.nan, np.nan)
+    axes = [
+        np.linspace(ax.lo, ax.hi, ax.n) if ax.n > 1 else np.array([0.5 * (ax.lo + ax.hi)])
+        for ax in (grid.axis1, grid.axis2)
+    ]
+    cells = []
+    for x in axes[0]:
+        for y in axes[1]:
+            w = {grid.axis1.name: float(x), grid.axis2.name: float(y),
+                 grid.fixed_name: grid.fixed_value}
+            try:
+                c = pu6.coeffs_from_tensor(w["c1"], w["c2"], w["c3"], p)
+                by_pref = pu6.positivity_verdict(c, f, "prefactor")
+            except pu6.SingularCombination:
+                cells.append(pu6.positivity.CellVerdict(x, y, "singular", np.nan, nan3))
+                continue
+            by_eig = pu6.positivity_verdict(c, f, "eigenvalue")
+            cells.append(pu6.positivity.CellVerdict(
+                float(x), float(y), "positive" if by_pref.positive else "not_positive",
+                by_eig.min_eigenvalue, by_pref.prefactors, by_pref.positive != by_eig.positive,
+            ))
+    return cells
+
+
+def _same(a, b):
+    """Exact equality, with NaN equal to NaN."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b or (a != a and b != b)
+
+
+@pytest.mark.parametrize(
+    "grid, singular",
+    [
+        (_grid(("c2", -30, -5), ("c3", 10, 150), "c1", 1.0, 30, 30), 0),  # straddles the boundary
+        # P_13 vanishes on the line c3 = -9 c2
+        (_grid(("c2", -50, 50), ("c3", -150, 150), "c1", 0.0, 40, 40), 14),
+        (_grid(("c1", -1, 1), ("c2", -2, 2), "c3", 0.0, 3, 5), 1),  # rank 0 at (0, 0, 0)
+        (_grid(("c3", 80, 80), ("c2", -18, -18), "c1", 1.0, 1, 1), 0),
+    ],
+)
+def test_scan_matches_per_cell_reference(std_freqs, grid, singular):
+    cells = pu6.region_scan(grid, std_freqs).cells
+    reference = _reference_scan(grid, std_freqs)
+    assert len(cells) == len(reference) == grid.axis1.n * grid.axis2.n
+    assert sum(c.verdict == "singular" for c in cells) == singular
+    for cell, ref in zip(cells, reference):
+        for name in ("c_x", "c_y", "verdict", "min_eigenvalue", "prefactors", "methods_disagree"):
+            assert _same(getattr(cell, name), getattr(ref, name)), (name, cell, ref)
+
+
+def test_scan_csv_matches_csv_writer_reference(std_freqs):
+    grid = _grid(("c2", -50, 50), ("c3", -150, 150), "c1", 0.0, 40, 40)  # has singular cells
+    res = pu6.region_scan(grid, std_freqs)
+    ref = io.StringIO()
+    w = csv.writer(ref, lineterminator="\n")
+    w.writerow(
+        ["c_x", "c_y", "verdict", "min_eigenvalue", "prefactor_1", "prefactor_2", "prefactor_3"]
+    )
+    for c in res.cells:
+        w.writerow([f"{c.c_x:.17g}", f"{c.c_y:.17g}", c.verdict, f"{c.min_eigenvalue:.17g}"]
+                   + [f"{v:.17g}" for v in c.prefactors])
+    out = io.StringIO()
+    res.write_csv(out)
+    assert out.getvalue() == ref.getvalue()
+
+
+def test_stacked_weights_match_scalar_calls(std_freqs, rng):
+    w = rng.normal(size=(3, 7)) * [[1.0], [20.0], [100.0]]
+    for fn in (pu6.hbar_prefactors, pu6.tensor_weight_polynomials):
+        stacked = fn(*w, std_freqs)
+        assert stacked.shape == (7, 3)
+        for row, cell in zip(stacked, w.T):
+            np.testing.assert_array_equal(row, fn(*cell, std_freqs))
 
 
 def test_grid_spec_validation():
