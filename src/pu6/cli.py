@@ -23,9 +23,10 @@ import numpy as np
 from . import dynamics, positivity, representations, verification
 from .core import (
     PUParams,
+    QuadraticForm,
+    _model_matrices,
     frequencies_from_params,
     frequency_triple,
-    hamiltonian_form,
     params_from_frequencies,
 )
 from .errors import ComplexBranch, ComplexFrequencies, ConfigError, NonFinite, Pu6Error
@@ -153,6 +154,11 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
     t_end = _finite(sec.get("t_end", 20.0), "simulate.t_end")
     if dt <= 0.0 or t_end <= 0.0:
         raise ConfigError(f"simulate needs dt > 0 and t_end > 0, got dt={dt}, t_end={t_end}")
+    steps = t_end / dt
+    if not 0.5 < steps < math.inf or abs(steps - round(steps)) > 1e-9 * steps:
+        raise ConfigError(
+            f"simulate needs t_end to be a whole, non-zero number of steps dt, got t_end/dt {steps:g}"
+        )
     initial = sec.get("initial", [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     method = sec.get("method", "rk4")
     if method not in ("rk4", "exact"):
@@ -195,8 +201,7 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
     csv_path, json_path = base + ".csv", base + ".json"
     with open(csv_path, "w") as fh:
         dynamics.trajectory_csv(traj, p, fh)
-    forms = [hamiltonian_form(k, p) for k in (1, 2, 3)]
-    drift = dynamics.conservation_drift(traj, forms)
+    drift = dynamics.conservation_drift(traj, [QuadraticForm(h) for h in _model_matrices(p)[1]])
     summary = {
         "method": traj.method,
         "dt": dt,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,6 +323,24 @@ def poisson_tensor(k: int, p: PUParams) -> PoissonTensor:
     else:
         raise ValueError(f"poisson_tensor is defined for k in 1..3, got {k}")
     return PoissonTensor(J - J.T, tag=f"J{k}")
+
+
+def canonical_units(p: PUParams) -> tuple[float, PUParams]:
+    """Frequency scale rho and the unit-scale model (alpha/rho^2, beta/rho^4, gamma/rho^6).
+
+    rho = 2^round(log2(r)/2) with r = max(|alpha|, |beta|^(1/2), |gamma|^(1/3)),
+    a squared-frequency scale; rho = 1 when r = 0.  The time rescaling
+    t -> t/rho with s = D s_hat, D = diag(1, rho, ..., rho^5), maps the
+    canonical model onto p:
+
+        F = rho D F_hat D^-1,  D A_k D = rho^(4k+2) A_hat_k,  J_k = rho^-(4k+1) D J_hat_k D.
+
+    Every identity and every definiteness verdict is invariant under it, and
+    rho being a power of two makes the map exact in floating point.
+    """
+    r = max(abs(p.alpha), math.sqrt(abs(p.beta)), abs(p.gamma) ** (1.0 / 3.0))
+    rho = 2.0 ** round(0.5 * math.log2(r)) if r > 0.0 else 1.0
+    return rho, PUParams(p.alpha / rho ** 2, p.beta / rho ** 4, p.gamma / rho ** 6)
 
 
 @functools.lru_cache(maxsize=8)

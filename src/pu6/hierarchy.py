@@ -14,6 +14,7 @@ dual to each other; both directions of that duality are provided.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,6 @@ from .core import (
     QuadraticForm,
     _model_matrices,
     frequencies_from_params,
-    hamiltonian_form,
-    poisson_tensor,
 )
 from .errors import DegenerateFrequencies, SingularCombination
 
@@ -49,39 +48,6 @@ class CombinationCoeffs:
     @property
     def hamiltonian_weights(self) -> tuple[float, float, float]:
         return (self.c4, self.c5, self.c6)
-
-
-@dataclass(frozen=True)
-class HierarchyMatrix:
-    """Ladder matrix M with its eigenvector matrix U and eigenvalue matrix D."""
-
-    m: np.ndarray
-    u: np.ndarray
-    d: np.ndarray
-
-
-def hierarchy_matrix(p: PUParams) -> HierarchyMatrix:
-    """M acting on (H1,H2,H3) by the scaling symmetry, with M = U D U^-1.
-
-    D carries the pairwise products of squared frequencies in the order
-    (w1^2 w2^2, w1^2 w3^2, w2^2 w3^2) for the descending-sorted triple.
-    """
-    f = frequencies_from_params(p)
-    if f.is_degenerate():
-        raise DegenerateFrequencies(
-            f"eigen-decomposition of the ladder matrix is ill-conditioned at {f.omegas}"
-        )
-    a, b, c = f.squares
-    m = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [p.gamma ** 2, -p.alpha * p.gamma, p.beta]])
-    u = np.array(
-        [
-            [1.0 / (a * b) ** 2, 1.0 / (a * c) ** 2, 1.0 / (b * c) ** 2],
-            [1.0 / (a * b), 1.0 / (a * c), 1.0 / (b * c)],
-            [1.0, 1.0, 1.0],
-        ]
-    )
-    d = np.diag([a * b, a * c, b * c])
-    return HierarchyMatrix(m=m, u=u, d=d)
 
 
 def hierarchy_coefficients(n: int, p: PUParams) -> np.ndarray:
@@ -129,28 +95,26 @@ def hamiltonian_n_closed(n: int, p: PUParams) -> QuadraticForm:
             f"closed-form coefficients have vanishing denominators at {f.omegas}"
         )
     k = _closed_coefficients(n, f)
-    A = sum(k[i] * hamiltonian_form(i + 1, p).matrix for i in range(3))
+    _, hs, _ = _model_matrices(p)
+    A = sum(k[i] * hs[i] for i in range(3))
     return QuadraticForm(A)
 
 
-def hamiltonian_n_recursive(n: int, p: PUParams, check_tol: float = 1e-8) -> QuadraticForm:
-    """H_n by iterating A_{k+1} = J2^{-1} J1 A_k from A_1.
+def _recursion(n: int, p: PUParams, check_tol: float = 1e-8) -> list[np.ndarray]:
+    """A_1..A_n by iterating A_{k+1} = J2^{-1} J1 A_k from A_1: one inversion, n - 1 steps.
 
     Each step checks that J2 A_{k+1} = J1 A_k holds and that the
     pre-symmetrisation matrix is already symmetric (relative to its own
     scale); a violation would mean the recursion structure is broken, not
     just rounded.
     """
-    if n < 1:
-        raise ValueError(f"the hierarchy starts at n = 1, got {n}")
     p.require_gamma()
-    j1 = poisson_tensor(1, p).matrix
-    j2 = poisson_tensor(2, p).matrix
+    (j1, j2, _), (A, _, _), _ = _model_matrices(p)
     j2inv = np.linalg.inv(j2)
-    A = hamiltonian_form(1, p).matrix
+    chain = [A]
     for _ in range(n - 1):
         nxt = j2inv @ (j1 @ A)
-        scale = max(1.0, np.abs(nxt).max())
+        scale = np.abs(nxt).max()
         asym = np.abs(nxt - nxt.T).max()
         if asym > check_tol * scale:
             raise ArithmeticError(
@@ -158,18 +122,29 @@ def hamiltonian_n_recursive(n: int, p: PUParams, check_tol: float = 1e-8) -> Qua
             )
         nxt = 0.5 * (nxt + nxt.T)
         resid = np.abs(j2 @ nxt - j1 @ A).max()
-        if resid > check_tol * max(1.0, np.abs(j1 @ A).max()):
+        if resid > check_tol * np.abs(j1 @ A).max():
             raise ArithmeticError(f"recursion residual {resid:.3e} exceeds tolerance")
         A = nxt
-    return QuadraticForm(A)
+        chain.append(A)
+    return chain
 
 
+def hamiltonian_n_recursive(n: int, p: PUParams, check_tol: float = 1e-8) -> QuadraticForm:
+    """H_n by iterating A_{k+1} = J2^{-1} J1 A_k from A_1, each step checked."""
+    if n < 1:
+        raise ValueError(f"the hierarchy starts at n = 1, got {n}")
+    return QuadraticForm(_recursion(n, p, check_tol)[-1])
+
+
+@functools.lru_cache(maxsize=8)
 def _pair_products(p: PUParams) -> np.ndarray:
     """Pairwise products of squared frequencies, as roots of m^3 - beta m^2 + alpha gamma m - gamma^2."""
     comp = np.array(
         [[0.0, 0.0, p.gamma ** 2], [1.0, 0.0, -p.alpha * p.gamma], [0.0, 1.0, p.beta]]
     )
-    return np.linalg.eigvals(comp)
+    m = np.linalg.eigvals(comp)
+    m.flags.writeable = False
+    return m
 
 
 def _duality_table(p: PUParams) -> np.ndarray:
@@ -232,16 +207,18 @@ def coeffs_from_tensor(c1: float, c2: float, c3: float, p: PUParams) -> Combinat
 
 def combined_form(c: CombinationCoeffs, p: PUParams) -> QuadraticForm:
     """The combined Hamiltonian c4 H1 + c5 H2 + c6 H3 as a form."""
-    A = sum(w * hamiltonian_form(k + 1, p).matrix for k, w in enumerate(c.hamiltonian_weights))
+    _, hs, _ = _model_matrices(p)
+    A = sum(w * h for w, h in zip(c.hamiltonian_weights, hs))
     return QuadraticForm(A)
 
 
 def combined_flow(c: CombinationCoeffs, p: PUParams) -> np.ndarray:
     """Jbar Abar: the flow generated by the combined tensor and Hamiltonian."""
     p.require_gamma()
+    js, _, _ = _model_matrices(p)
     jbar = np.zeros((DIM, DIM))
-    for k, w in enumerate(c.poisson_weights):
-        jbar += w * poisson_tensor(k + 1, p).matrix
+    for w, j in zip(c.poisson_weights, js):
+        jbar += w * j
     return jbar @ combined_form(c, p).matrix
 
 

@@ -18,6 +18,7 @@ Hamiltonian is obtained by pulling the 3D phase-space energy back to the
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -28,9 +29,10 @@ from .core import (
     DIM,
     PUParams,
     QuadraticForm,
+    _model_matrices,
+    canonical_units,
     flow_operator,
     frequencies_from_params,
-    hamiltonian_form,
 )
 from .errors import (
     ComplexBranch,
@@ -42,9 +44,12 @@ from .errors import (
     ZeroDenominator,
     ZeroKinetic,
 )
-from .positivity import PositivityVerdict, eigenvalue_verdict
+from .positivity import PositivityVerdict, eigenvalue_verdict, hbar_prefactors
 
 KINDS = ("Ta1", "Ta2", "Tb1", "Tc1")
+
+# Hamiltonian weights in canonical units: c_hat_k = rho^(4k+2) c_k
+_WEIGHT_EXPONENTS = np.array([6.0, 10.0, 14.0])
 
 _PATTERNS = {
     "Ta1": ("PU", "PU", "PU"),
@@ -323,6 +328,19 @@ def second_order_residual(r: Representation, x, y, z, xdd, ydd, zdd) -> np.ndarr
     return (acc.T * np.asarray(a)).T + (pos.T * np.asarray(b)).T + G @ pos
 
 
+def _substitution(r: Representation, part) -> np.ndarray:
+    """Equation i, a_i x_i'' + sum_j K_ij x_j with K = diag(b) + couplings, over q's derivatives.
+
+    Every factor passes through ``part`` first: ``np.asarray`` gives the
+    coefficients, ``np.abs`` the size of the terms summed into each one.
+    """
+    a, b, g = r.params3d.a, r.params3d.b, r.params3d.g
+    K = part(np.array([[b[0], g[0], g[1]], [g[0], b[1], g[2]], [g[1], g[2], b[2]]]))
+    x = np.zeros((3, 4))
+    x[:, :3] = part(r.projection.matrix[:, 0::2])  # x_j = mu0 q + mu2 q'' + mu4 q''''
+    return part(np.asarray(a))[:, None] * np.roll(x, 1, axis=1) + K @ x
+
+
 def _equation_weight_vectors(r: Representation, p: PUParams) -> np.ndarray:
     """Per equation, the coefficients of (q, q'', q'''', q'''''') after substitution.
 
@@ -331,30 +349,7 @@ def _equation_weight_vectors(r: Representation, p: PUParams) -> np.ndarray:
     oscillator-equivalent iff w_i = lambda (gamma, beta, alpha, 1) with
     lambda != 0, and trivially vanishing iff w_i = 0 identically.
     """
-    a, b, g = r.params3d.a, r.params3d.b, r.params3d.g
-    rows = [
-        (r.projection.matrix[i, 0], r.projection.matrix[i, 2], r.projection.matrix[i, 4])
-        for i in range(3)
-    ]
-    G = np.array([[0.0, g[0], g[1]], [g[0], 0.0, g[2]], [g[1], g[2], 0.0]])
-    W = np.zeros((3, 4))
-    for i in range(3):
-        mu0, mu2, mu4 = rows[i]
-        # x_i'' = mu0 q'' + mu2 q'''' + mu4 q''''''
-        W[i, 1] += a[i] * mu0
-        W[i, 2] += a[i] * mu2
-        W[i, 3] += a[i] * mu4
-        W[i, 0] += b[i] * mu0
-        W[i, 1] += b[i] * mu2
-        W[i, 2] += b[i] * mu4
-        for j in range(3):
-            if j == i:
-                continue
-            n0, n2, n4 = rows[j]
-            W[i, 0] += G[i, j] * n0
-            W[i, 1] += G[i, j] * n2
-            W[i, 2] += G[i, j] * n4
-    return W
+    return _substitution(r, np.asarray)
 
 
 def equivalence_check(
@@ -370,20 +365,27 @@ def equivalence_check(
     vanishing" means the zero functional, not merely small along one orbit);
     when a trajectory is supplied, the residuals along it are verified as
     well.  A mismatch with the family's declared pattern raises.
+
+    The weights are judged in the canonical units of ``canonical_units``,
+    each against the size of the terms summed into it, so the structural
+    residuals are canonical too.
     """
-    W = _equation_weight_vectors(r, p)
-    target = np.array([p.gamma, p.beta, p.alpha, 1.0])
+    rho, pc = canonical_units(p)
+    unit = rho ** np.array([-6.0, -4.0, -2.0, 0.0])  # the q^(2k) weight carries rho^(6-2k)
+    W = _equation_weight_vectors(r, p) * unit
+    terms = _substitution(r, np.abs) * unit
+    target = np.array([pc.gamma, pc.beta, pc.alpha, 1.0])
     pattern, resids = [], []
     for i in range(3):
         w = W[i]
-        scale = max(1.0, float(np.abs(w).max()))
+        scale = float(terms[i].max())
         if np.abs(w).max() <= tol * scale:
             pattern.append("trivial")
             resids.append(float(np.abs(w).max()))
             continue
         lam = w[3]
         mismatch = float(np.abs(w - lam * target).max())
-        if abs(lam) > tol * scale and mismatch <= tol * max(scale, float(np.abs(lam * target).max())):
+        if abs(lam) > tol * scale and mismatch <= tol * scale:
             pattern.append("PU")
             resids.append(mismatch)
         else:
@@ -446,18 +448,23 @@ def transformed_coefficients(r: Representation, p: PUParams) -> tuple[float, flo
     The pullback of the phase-space form through the projection/velocity map
     always lands in the span of (H1, H2, H3) for a valid family; the
     decomposition residual is checked, so a transcription error in a builder
-    cannot silently produce wrong weights.
+    cannot silently produce wrong weights.  The decomposition runs in the
+    canonical units of ``canonical_units`` and the weights are mapped back
+    exactly.
     """
-    S = phase_space_map(r, p)
-    A6 = S.T @ legendre_hamiltonian(r).matrix @ S
-    cols = np.stack([hamiltonian_form(k, p).matrix.ravel() for k in (1, 2, 3)], axis=1)
+    rho, pc = canonical_units(p)
+    S = phase_space_map(r, p) * rho ** np.arange(DIM)
+    A6 = S.T @ legendre_hamiltonian(r).matrix @ S  # D A6 D = sum_k c_hat_k A_hat_k
+    _, hs, _ = _model_matrices(pc)
+    cols = np.stack([h.ravel() for h in hs], axis=1)
     sol, _, _, _ = np.linalg.lstsq(cols, A6.ravel(), rcond=None)
     resid = np.abs(cols @ sol - A6.ravel()).max()
-    if resid > 1e-8 * max(1.0, np.abs(A6).max()):
+    if resid > 1e-8 * np.abs(A6).max():
         raise EquivalenceFailure(
             -1, float(resid), f"pulled-back energy of {r.kind} is not a combination of H1..H3"
         )
-    return (float(sol[0]), float(sol[1]), float(sol[2]))
+    c = sol / rho ** _WEIGHT_EXPONENTS
+    return (float(c[0]), float(c[1]), float(c[2]))
 
 
 def representation_positivity(
@@ -467,10 +474,17 @@ def representation_positivity(
 
     Uses the eigenvalue route on the combined form directly, so it also works
     outside the oscillatory parameter regime (where no real frequencies, and
-    hence no block prefactors, exist).
+    hence no block prefactors, exist).  The verdict and ``min_eigenvalue``
+    belong to the canonical form sum_k c_hat_k A_hat_k = D Abar D of
+    ``canonical_units``, congruent to the physical one; the prefactors are
+    physical and the witness is mapped back to the physical state.
     """
+    rho, pc = canonical_units(p)
+    v = eigenvalue_verdict(np.multiply(weights, rho ** _WEIGHT_EXPONENTS), pc, None)
     try:
         f = frequencies_from_params(p)
     except ComplexFrequencies:
         f = None
-    return eigenvalue_verdict(weights, p, f)
+    pref = tuple(hbar_prefactors(*weights, f)) if f is not None and not f.is_degenerate() else None
+    witness = None if v.witness is None else v.witness * rho ** np.arange(DIM)
+    return dataclasses.replace(v, prefactors=pref, witness=witness)

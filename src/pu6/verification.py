@@ -33,6 +33,15 @@ def _result(name, residual, tol, detail=""):
     return CheckResult(name, status, float(residual), detail or f"tolerance {tol:g}")
 
 
+def _rel(residual, *operands):
+    """Largest entry of ``residual`` over the product of the operands' largest entries.
+
+    The identities are exact, so a residual is pure roundoff relative to the
+    operand norms.
+    """
+    return np.abs(residual).max() / np.prod([np.abs(m).max() for m in operands])
+
+
 def _skip(name, reason):
     return CheckResult(name, "skip", float("nan"), reason)
 
@@ -51,10 +60,16 @@ def run_invariant_suite(
 
     Random-draw checks (flow equality across parameter sets, expansion
     exactness, dual flow recovery) use the supplied generator, so a fixed
-    seed reproduces the report bit for bit.  ``tol`` overrides the
-    degeneracy-classification tolerance.
+    seed reproduces the report bit for bit.
+
+    Every check runs on the unit-frequency model of ``core.canonical_units``:
+    the time rescaling maps each identity and definiteness statement onto
+    itself, so residuals are plain relative ones and mean the same at any
+    frequency scale.  ``tol`` overrides the degeneracy-classification
+    tolerance on the canonical squared frequencies.
     """
     rng = rng or np.random.default_rng(0)
+    _, p = core.canonical_units(p)
     results: list[CheckResult] = []
     F = core.flow_operator(p)
 
@@ -81,26 +96,14 @@ def run_invariant_suite(
 
     hs = [core.hamiltonian_form(k, p) for k in (1, 2, 3)]
     if js is not None:
-        # identities are exact, so residuals are pure roundoff and scale with
-        # the operand norms; normalise so large frequencies do not trip them
-        resid = max(
-            np.abs(j.matrix @ h.matrix - F).max()
-            / max(1.0, np.abs(j.matrix).max() * np.abs(h.matrix).max())
-            for j, h in zip(js, hs)
-        )
+        resid = max(_rel(j.matrix @ h.matrix - F, j.matrix, h.matrix) for j, h in zip(js, hs))
         results.append(_result("flow_equality", resid, 1e-9, "relative to operand scale"))
-        resid = max(
-            np.abs(F @ j.matrix + j.matrix @ F.T).max()
-            / max(1.0, np.abs(F).max() * np.abs(j.matrix).max())
-            for j in js
-        )
+        resid = max(_rel(F @ j.matrix + j.matrix @ F.T, F, j.matrix) for j in js)
         results.append(_result("poisson_field_condition", resid, 1e-9, "relative to operand scale"))
-        resid = 0.0
-        for jk in js:
-            for a in hs:
-                for b in hs:
-                    scale = max(1.0, np.abs(a.matrix).max() * np.abs(jk.matrix).max() * np.abs(b.matrix).max())
-                    resid = max(resid, np.abs(core.poisson_bracket(a, b, jk).matrix).max() / scale)
+        resid = max(
+            _rel(core.poisson_bracket(a, b, jk).matrix, a.matrix, jk.matrix, b.matrix)
+            for jk in js for a in hs for b in hs
+        )
         results.append(_result("involution_base", resid, 1e-9, "relative to operand scale"))
     else:
         results.append(_fail("flow_equality", "GammaZero: J2, J3 unavailable"))
@@ -109,12 +112,8 @@ def run_invariant_suite(
 
     # --- symmetries -------------------------------------------------------
     xs = [symmetries.lie_generator(i, p) for i in range(1, 7)]
-    resid = max(
-        np.abs(symmetries.commutator(xs[i], xs[j])).max()
-        / max(1.0, np.abs(xs[i]).max() * np.abs(xs[j]).max())
-        for i in range(6)
-        for j in range(i + 1, 6)
-    )
+    pairs = [(x, y) for i, x in enumerate(xs) for y in xs[i + 1:]]
+    resid = max(_rel(symmetries.commutator(x, y), x, y) for x, y in pairs)
     results.append(_result("abelian_algebra", resid, 1e-9, "relative to operand scale"))
 
     scale = max(np.abs(h.matrix).max() for h in hs)
@@ -128,11 +127,7 @@ def run_invariant_suite(
     resid = max(resid, np.abs(symmetries.symmetry_action_on_form(xs[5], hs[0]).matrix - hs[2].matrix).max())
     results.append(_result("action_table", resid / scale, 1e-9, "relative to form scale"))
 
-    resid = max(
-        np.abs(symmetries.commutator(x, F)).max()
-        / max(1.0, np.abs(x).max() * np.abs(F).max())
-        for x in xs
-    )
+    resid = max(_rel(symmetries.commutator(x, F), x, F) for x in xs)
     results.append(_result("flow_symmetries", resid, 1e-9, "relative to operand scale"))
 
     # --- hierarchy routes --------------------------------------------------
@@ -142,37 +137,24 @@ def run_invariant_suite(
         results.append(_fail("hierarchy_involution", "GammaZero"))
     else:
         try:
-            recs = [hierarchy.hamiltonian_n_recursive(n, p) for n in range(1, 11)]
-            rel = 0.0
-            for n, rec in enumerate(recs, start=1):
-                s = max(1.0, np.abs(rec.matrix).max())
-                if degenerate or freqs is None:
-                    continue
-                closed = hierarchy.hamiltonian_n_closed(n, p)
-                blocks = positivity.hamiltonian_n_blocks(n, freqs)
-                rel = max(rel, np.abs(rec.matrix - closed.matrix).max() / s)
-                rel = max(rel, np.abs(rec.matrix - blocks.matrix).max() / s)
+            recs = [core.QuadraticForm(a) for a in hierarchy._recursion(10, p)]
             if degenerate or freqs is None:
                 results.append(
                     _skip("hierarchy_routes", "degenerate or non-oscillatory: closed/block routes refused")
                 )
             else:
+                routes = ((hierarchy.hamiltonian_n_closed, p), (positivity.hamiltonian_n_blocks, freqs))
+                rel = max(
+                    _rel(rec.matrix - route(n, q).matrix, rec.matrix)
+                    for n, rec in enumerate(recs, start=1) for route, q in routes
+                )
                 results.append(_result("hierarchy_routes", rel, 1e-7, "n = 1..10, three routes"))
-            resid = max(
-                np.abs(r.matrix @ F + F.T @ r.matrix).max() / max(1.0, np.abs(r.matrix @ F).max())
-                for r in recs
-            )
+            resid = max(_rel(r.matrix @ F + F.T @ r.matrix, r.matrix @ F) for r in recs)
             results.append(_result("hierarchy_conservation", resid, 1e-8, "symmetric part of A_n F"))
-            resid = 0.0
-            for jk in js:
-                for m in range(5):
-                    for n in range(m, 5):
-                        br = core.poisson_bracket(recs[m], recs[n], jk).matrix
-                        resid = max(
-                            resid,
-                            np.abs(br).max()
-                            / max(1.0, np.abs(recs[m].matrix).max() * np.abs(recs[n].matrix).max()),
-                        )
+            resid = max(
+                _rel(core.poisson_bracket(a, b, jk).matrix, a.matrix, jk.matrix, b.matrix)
+                for jk in js for m, a in enumerate(recs[:5]) for b in recs[m:5]
+            )
             results.append(_result("hierarchy_involution", resid, 1e-9, "m, n <= 5, all tensors"))
         except (ArithmeticError, DegenerateFrequencies) as exc:
             results.append(_fail("hierarchy_routes", str(exc)))
@@ -239,7 +221,7 @@ def run_invariant_suite(
                 continue
             count += 1
             flow = hierarchy.combined_flow(coeffs, p)
-            worst = max(worst, np.abs(flow - F).max() / max(1.0, np.abs(F).max()))
+            worst = max(worst, _rel(flow - F, F))
             e = hierarchy.flow_expansion_coefficients(coeffs, p)
             worst = max(worst, np.abs(e - np.array([1.0, 0.0, 0.0])).max())
         if count < n_random:
@@ -263,11 +245,7 @@ def run_invariant_suite(
 
     if freqs is not None:
         rt = core.params_from_frequencies(freqs)
-        worst = max(
-            abs(rt.alpha - p.alpha) / max(1.0, abs(p.alpha)),
-            abs(rt.beta - p.beta) / max(1.0, abs(p.beta)),
-            abs(rt.gamma - p.gamma) / max(1.0, abs(p.gamma)),
-        )
+        worst = max(_rel(getattr(rt, k) - getattr(p, k), getattr(p, k)) for k in vars(p))
         results.append(_result("frequency_roundtrip", worst, 1e-8))
     else:
         results.append(_skip("frequency_roundtrip", "non-oscillatory parameter regime"))

@@ -281,6 +281,8 @@ def test_represent_complex_branch_exit_4(tmp_path):
         ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"dt": NaN}}', "simulate"),
         ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"dt": -0.1}}', "simulate"),
         ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"t_end": Infinity}}', "simulate"),
+        ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"dt": 0.3, "t_end": 1.0}}', "simulate"),
+        ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"dt": 0.5, "t_end": 0.2}}', "simulate"),
     ],
 )
 def test_malformed_input_exit_2(tmp_path, capsys, text, command):

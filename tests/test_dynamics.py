@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -253,3 +255,27 @@ def test_trajectory_csv_format(std_params, std_freqs, tmp_path):
     first = lines[1].split(",")
     assert float(first[1]) == pytest.approx(1.0, rel=1e-12)
     assert float(first[7]) == pytest.approx(180.0, rel=1e-12)  # H1 of the cos3 state
+
+
+def _per_cell_trajectory_csv(traj, p) -> str:
+    """The per-cell f-string writer that trajectory_csv replaced, kept as its byte reference."""
+    forms = [pu6.hamiltonian_form(k, p) for k in (1, 2, 3)]
+    hvals = [0.5 * np.einsum("ti,ij,tj->t", traj.states, h.matrix, traj.states) for h in forms]
+    lines = ["t,q,qdot,qddot,q3t,q4t,q5t,H1,H2,H3"]
+    for i, t in enumerate(traj.times):
+        cells = [f"{t:.17g}"] + [f"{v:.17g}" for v in traj.states[i]]
+        cells += [f"{h[i]:.17g}" for h in hvals]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("method", ["rk4", "exact"])
+def test_trajectory_csv_matches_per_cell_reference(std_params, std_freqs, method):
+    # 3001 rows span several write blocks; the zero initial slots exercise "0"
+    if method == "rk4":
+        traj = pu6.integrate_rk4(std_params, _cos3_state(), t_end=3.0, dt=1e-3)
+    else:
+        traj = pu6.exact_trajectory(pu6.solve_exact(std_freqs, _cos3_state()), 3.0, 1e-3)
+    out = io.StringIO()
+    pu6.trajectory_csv(traj, std_params, out)
+    assert out.getvalue() == _per_cell_trajectory_csv(traj, std_params)

@@ -5,25 +5,33 @@ import pu6
 from conftest import random_param_sets
 
 
+def _ladder(p):
+    """The ladder matrix M, whose rows are the coefficients of H2, H3, H4 over (H1, H2, H3)."""
+    return np.array([pu6.hierarchy_coefficients(n, p) for n in (2, 3, 4)])
+
+
 def test_ladder_matrix_rows(std_params):
-    hm = pu6.hierarchy_matrix(std_params)
-    np.testing.assert_array_equal(hm.m[0], [0, 1, 0])
-    np.testing.assert_array_equal(hm.m[1], [0, 0, 1])
-    np.testing.assert_array_equal(hm.m[2], [1296.0, -504.0, 49.0])
+    m = _ladder(std_params)
+    np.testing.assert_array_equal(m[0], [0, 1, 0])
+    np.testing.assert_array_equal(m[1], [0, 0, 1])
+    np.testing.assert_array_equal(m[2], [1296.0, -504.0, 49.0])
 
 
 def test_ladder_diagonalisation(std_params):
-    hm = pu6.hierarchy_matrix(std_params)
-    np.testing.assert_allclose(np.diag(hm.d), [36.0, 9.0, 4.0], rtol=1e-12)
-    assert np.abs(hm.m @ hm.u - hm.u @ hm.d).max() < 1e-9
-    rebuilt = hm.u @ hm.d @ np.linalg.inv(hm.u)
-    assert np.abs(rebuilt - hm.m).max() < 1e-9 * max(1.0, np.abs(hm.m).max())
+    # the eigenvalues of M are the pair products w_j^2 w_k^2 of squared frequencies
+    np.testing.assert_allclose(np.sort(np.linalg.eigvals(_ladder(std_params)).real),
+                               [4.0, 9.0, 36.0], rtol=1e-12)
 
 
-def test_ladder_matrix_degenerate_refused():
+def test_ladder_coefficients_match_recursion_degenerate():
+    # the ladder route works in every degeneracy class, unlike the closed form
     p = pu6.params_from_frequencies(pu6.frequency_triple(2, 2, 1))
-    with pytest.raises(pu6.DegenerateFrequencies):
-        pu6.hierarchy_matrix(p)
+    hs = [pu6.hamiltonian_form(k, p).matrix for k in (1, 2, 3)]
+    for n in range(1, 8):
+        k = pu6.hierarchy_coefficients(n, p)
+        ladder = sum(w * h for w, h in zip(k, hs))
+        rec = pu6.hamiltonian_n_recursive(n, p).matrix
+        assert np.abs(ladder - rec).max() < 1e-10 * np.abs(rec).max()
 
 
 def test_first_power_reproduces_ladder(std_params):

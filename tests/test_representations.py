@@ -178,6 +178,38 @@ def test_tb1_never_positive():
         assert v.min_eigenvalue < 0
 
 
+def _loop_weight_vectors(r):
+    """The per-term loop that _equation_weight_vectors replaced, kept as its reference."""
+    a, b, g = r.params3d.a, r.params3d.b, r.params3d.g
+    rows = [r.projection.matrix[i, 0::2] for i in range(3)]
+    G = np.array([[0.0, g[0], g[1]], [g[0], 0.0, g[2]], [g[1], g[2], 0.0]])
+    W = np.zeros((3, 4))
+    for i in range(3):
+        W[i, 1:] += a[i] * rows[i]  # a_i x_i'' shifts each derivative up by two
+        W[i, :3] += b[i] * rows[i]
+        for j in range(3):
+            if j != i:
+                W[i, :3] += G[i, j] * rows[j]
+    return W
+
+
+@pytest.mark.parametrize("kind, p, choices", [
+    ("Ta2", _params((3.0, 2.0, 1.0)), {}),
+    ("Ta1", _params(TA1_FREQS), {"branch": +1}),
+    ("Tb1", TB1_PARAMS, TB1_CHOICES),
+    ("Tc1", _params(TC1_FREQS), {"mu0": 1.0, "nu0": 1.0, "tau0": 1.0}),
+])
+def test_weight_vectors_match_loop_reference(kind, p, choices):
+    from pu6.representations import _equation_weight_vectors, _substitution
+
+    rep = pu6.build_representation(kind, p, choices)
+    terms = _substitution(rep, np.abs)
+    W = _equation_weight_vectors(rep, p)
+    assert np.all(np.abs(W) <= terms)
+    # four terms at most per entry, each order rounding within a few eps of their sizes
+    assert np.all(np.abs(W - _loop_weight_vectors(rep)) <= 8 * np.finfo(float).eps * terms)
+
+
 def test_tb1_trivial_row_is_matrix_identity():
     rep = pu6.build_representation("Tb1", TB1_PARAMS, TB1_CHOICES)
     from pu6.representations import _equation_weight_vectors
