@@ -5,6 +5,10 @@ with the basis chosen by degeneracy class; all time derivatives are evaluated
 analytically (product/chain rule), never by finite differences, so that the
 flow-residual invariant isolates formula errors.
 
+For an interaction-free (linear) flow one RK4 step is a fixed polynomial in
+dt F, so `integrate_rk4` builds that 6x6 increment once and applies it per
+step; interacting flows keep the four field evaluations per step.
+
 The interacting field adds a potential gradient -W'(s[slot]) to the last
 component of the linear flow; its pointwise Jacobian and the induced bracket
 residual Jac.J + J.Jac^T quantify where the multi-Hamiltonian structure
@@ -267,19 +271,23 @@ def integrate_rk4(
 ) -> Trajectory:
     """Classical fixed-step fourth-order integration of the (possibly interacting) flow.
 
+    Without an interaction the field is linear, so one step is the fixed
+    increment s -> s + Q s with Q = sum_{k=1..4} (dt F)^k / k!, built once.
     Deterministic for identical inputs; overflow raises instead of clamping,
     since divergent degenerate modes and unstable interactions are physical
     outcomes to report.
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError(f"need dt > 0 and t_end > 0, got dt={dt}, t_end={t_end}")
-    field = interaction_field(p, interaction)
     n_steps = int(round(t_end / dt))
-    times = np.empty(n_steps + 1)
+    times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, DIM))
     s = as_state(initial)
-    times[0] = 0.0
     states[0] = s
+    if interaction is None:
+        _linear_rk4(_model_matrices(p)[2], dt, states)
+        return Trajectory(times=times, states=states, method="rk4")
+    field = interaction_field(p, interaction)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             k1 = field(s)
@@ -288,11 +296,32 @@ def integrate_rk4(
             k4 = field(s + dt * k3)
             s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(s)):
-                cause = "interaction term" if interaction is not None else "divergent degenerate mode"
-                raise NonFinite(f"state overflowed at t={times[k] + dt:.6g} ({cause})")
-            times[k + 1] = (k + 1) * dt
+                raise NonFinite(f"state overflowed at t={times[k] + dt:.6g} (interaction term)")
             states[k + 1] = s
     return Trajectory(times=times, states=states, method="rk4")
+
+
+def _linear_rk4(F: np.ndarray, dt: float, states: np.ndarray) -> None:
+    """Fill states[1:] from states[0] by RK4 steps of ds/dt = F s, as s + s Q^T.
+
+    The increment form keeps the dt^4 terms out of the rounding of the
+    identity; s P^T with P = I + Q loses them.  Overflow is reported at the
+    first step whose state or whose stage sum k1 + 2k2 + 2k3 + k4 = (6/dt) Q s
+    is non-finite, the step at which the four-stage loop raises.
+    """
+    a = dt * F
+    eye = np.eye(DIM)
+    qt = (a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)).T.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = states[0]
+        for k in range(1, len(states)):
+            s = s + s @ qt
+            states[k] = s
+        stage_sums = states[:-1] @ (qt * (6.0 / dt))
+    bad = ~(np.isfinite(states[1:]) & np.isfinite(stage_sums)).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NonFinite(f"state overflowed at t={k * dt + dt:.6g} (divergent degenerate mode)")
 
 
 def exact_trajectory(sol: ExactSolution, t_end: float, dt: float) -> Trajectory:

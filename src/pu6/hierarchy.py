@@ -25,6 +25,7 @@ from .core import (
     PUParams,
     QuadraticForm,
     _model_matrices,
+    canonical_units,
     frequencies_from_params,
 )
 from .errors import DegenerateFrequencies, SingularCombination
@@ -130,10 +131,17 @@ def _recursion(n: int, p: PUParams, check_tol: float = 1e-8) -> list[np.ndarray]
 
 
 def hamiltonian_n_recursive(n: int, p: PUParams, check_tol: float = 1e-8) -> QuadraticForm:
-    """H_n by iterating A_{k+1} = J2^{-1} J1 A_k from A_1, each step checked."""
+    """H_n by iterating A_{k+1} = J2^{-1} J1 A_k from A_1, each step checked.
+
+    The recursion runs on the canonical model of ``canonical_units`` and is
+    mapped back exactly, A_n = rho^(4n+2) D^-1 A_hat_n D^-1, so its checks do
+    not depend on the frequency scale.
+    """
     if n < 1:
         raise ValueError(f"the hierarchy starts at n = 1, got {n}")
-    return QuadraticForm(_recursion(n, p, check_tol)[-1])
+    rho, pc = canonical_units(p)
+    k = np.arange(DIM)
+    return QuadraticForm(_recursion(n, pc, check_tol)[-1] * rho ** (4 * n + 2 - np.add.outer(k, k)))
 
 
 @functools.lru_cache(maxsize=8)

@@ -108,6 +108,86 @@ def test_rk4_overflow_reported():
         pu6.integrate_rk4(p, np.ones(6) * 1e305, t_end=25.0, dt=0.1)
 
 
+def _stage_loop_rk4(p, initial, t_end, dt):
+    """The four-stage loop that the linear increment replaced, kept as its reference."""
+    F = pu6.flow_operator(p)
+    n_steps = int(round(t_end / dt))
+    times = np.empty(n_steps + 1)
+    states = np.empty((n_steps + 1, 6))
+    s = np.array(initial, dtype=float)
+    times[0] = 0.0
+    states[0] = s
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            k1 = F @ s
+            k2 = F @ (s + 0.5 * dt * k1)
+            k3 = F @ (s + 0.5 * dt * k2)
+            k4 = F @ (s + dt * k3)
+            s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(s)):
+                raise pu6.NonFinite(
+                    f"state overflowed at t={times[k] + dt:.6g} (divergent degenerate mode)"
+                )
+            times[k + 1] = (k + 1) * dt
+            states[k + 1] = s
+    return times, states
+
+
+def _seeded_separated_triple(seed):
+    rng = np.random.default_rng(seed)
+    w3 = rng.uniform(0.5, 1.0)
+    w2 = w3 * rng.uniform(1.3, 1.8)
+    return (w2 * rng.uniform(1.3, 1.8), w2, w3)
+
+
+@pytest.mark.parametrize(
+    "omegas, t_end",
+    [((3, 2, 1), 20.0), (_seeded_separated_triple(71), 10.0), (_seeded_separated_triple(72), 10.0),
+     ((2, 2, 1), 10.0), ((2, 2, 2), 10.0)],
+)
+def test_linear_rk4_matches_stage_loop_reference(omegas, t_end):
+    p = pu6.params_from_frequencies(pu6.frequency_triple(*omegas))
+    s0 = np.random.default_rng(5).uniform(-1.0, 1.0, size=6)
+    traj = pu6.integrate_rk4(p, s0, t_end=t_end, dt=1e-3)
+    times, states = _stage_loop_rk4(p, s0, t_end, 1e-3)
+    assert traj.method == "rk4"
+    np.testing.assert_array_equal(traj.times, times)
+    assert np.abs(traj.states - states).max() <= 1e-12 * np.abs(states).max()
+
+
+@pytest.mark.parametrize(
+    "initial, t_end",
+    [(np.ones(6) * 1e305, 25.0), ([1e305, 0.0, 0.0, 0.0, 0.0, 0.0], 30.0),
+     (np.ones(6) * 1e300, 100.0), (np.ones(6), 800.0)],
+)
+def test_linear_rk4_overflow_step_matches_reference(initial, t_end):
+    p = pu6.PUParams(0.0, 0.0, -1.0)  # q'''''' = q: exponential growth
+    with pytest.raises(pu6.NonFinite) as expected:
+        _stage_loop_rk4(p, initial, t_end, 0.1)
+    with pytest.raises(pu6.NonFinite) as got:
+        pu6.integrate_rk4(p, initial, t_end=t_end, dt=0.1)
+    assert str(got.value) == str(expected.value)
+
+
+def test_rk4_convergence_study():
+    # the study of scripts/rk4_convergence.py: error ratios near 16 under step
+    # halving, and the H1..H3 drift at roundoff level once truncation is small
+    f = pu6.frequency_triple(3.0, 2.0, 1.0)
+    p = pu6.params_from_frequencies(f)
+    s0 = np.random.default_rng(0).uniform(-1.0, 1.0, size=6)
+    sol = pu6.solve_exact(f, s0)
+    forms = [pu6.hamiltonian_form(k, p) for k in (1, 2, 3)]
+    errs, drifts = [], []
+    for dt in (4e-3, 2e-3, 1e-3, 5e-4):
+        traj = pu6.integrate_rk4(p, s0, 20.0, dt)
+        errs.append(np.abs(traj.states - sol.states(traj.times)).max())
+        drifts.append(pu6.conservation_drift(traj, forms).max())
+    ratios = np.array(errs[:-1]) / np.array(errs[1:])
+    assert np.all((15.0 <= ratios) & (ratios <= 17.0)), ratios
+    # at dt = 4e-3 the H1 drift is RK4's own truncation (1.2e-11), not roundoff
+    assert drifts[0] <= 2e-11 and max(drifts[1:]) <= 1e-11, drifts
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         pu6.Trajectory(times=np.array([0.0, 0.0]), states=np.zeros((2, 6)), method="rk4")

@@ -74,3 +74,11 @@ def test_units_map_rebuilds_model_exactly(omegas, lam):
     for k in (1, 2, 3):
         assert np.array_equal(d[:, None] * hs[k - 1] * d, rho ** (4 * k + 2) * hc[k - 1])
         assert np.array_equal(js[k - 1], rho ** -(4 * k + 1) * d[:, None] * jc[k - 1] * d)
+
+
+@pytest.mark.parametrize("lam", SCALES)
+def test_recursive_hierarchy_matches_closed_form_at_every_scale(lam):
+    p = pu6.params_from_frequencies(pu6.frequency_triple(*(lam * w for w in (3.0, 2.0, 1.0))))
+    closed = pu6.hamiltonian_n_closed(10, p).matrix
+    recursive = pu6.hamiltonian_n_recursive(10, p).matrix
+    assert np.abs(recursive - closed).max() <= 1e-12 * np.abs(closed).max()
