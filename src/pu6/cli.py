@@ -23,8 +23,6 @@ import numpy as np
 from . import dynamics, positivity, representations, verification
 from .core import (
     PUParams,
-    QuadraticForm,
-    _model_matrices,
     frequencies_from_params,
     frequency_triple,
     params_from_frequencies,
@@ -200,8 +198,7 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
     base = out or "trajectory"
     csv_path, json_path = base + ".csv", base + ".json"
     with open(csv_path, "w") as fh:
-        dynamics.trajectory_csv(traj, p, fh)
-    drift = dynamics.conservation_drift(traj, [QuadraticForm(h) for h in _model_matrices(p)[1]])
+        drift = dynamics.value_drift(dynamics.trajectory_csv(traj, p, fh))
     summary = {
         "method": traj.method,
         "dt": dt,

@@ -330,21 +330,23 @@ def exact_trajectory(sol: ExactSolution, t_end: float, dt: float) -> Trajectory:
     return Trajectory(times=times, states=sol.states(times), method="exact")
 
 
+def value_drift(values) -> np.ndarray:
+    """Per sequence H(s(t)), max_t |H(s(t)) - H(s(0))| / max(|H(s(0))|, floor)."""
+    return np.array([float(np.abs(v - v[0]).max() / max(abs(v[0]), 1e-300)) for v in values])
+
+
 def conservation_drift(traj: Trajectory, forms: Sequence[QuadraticForm]) -> np.ndarray:
     """Per form, max_t |H(s(t)) - H(s(0))| / max(|H(s(0))|, floor)."""
-    out = []
-    for h in forms:
-        vals = 0.5 * np.einsum("ti,ij,tj->t", traj.states, h.matrix, traj.states)
-        out.append(float(np.abs(vals - vals[0]).max() / max(abs(vals[0]), 1e-300)))
-    return np.array(out)
+    s = traj.states
+    return value_drift([0.5 * np.einsum("ti,ij,tj->t", s, h.matrix, s) for h in forms])
 
 
 _CSV_ROW = ",".join(["%.17g"] * 10) + "\n"
 _CSV_BLOCK = 1024  # rows per write
 
 
-def trajectory_csv(traj: Trajectory, p: PUParams, stream) -> None:
-    """Write t, the six state slots and the three conserved values per row, to 17 digits."""
+def trajectory_csv(traj: Trajectory, p: PUParams, stream) -> list[np.ndarray]:
+    """Write t, the six state slots and H1..H3 per row, to 17 digits; return the H columns."""
     _, hs, _ = _model_matrices(p)
     stream.write("t,q,qdot,qddot,q3t,q4t,q5t,H1,H2,H3\n")
     hvals = [0.5 * np.einsum("ti,ij,tj->t", traj.states, h, traj.states) for h in hs]
@@ -352,3 +354,4 @@ def trajectory_csv(traj: Trajectory, p: PUParams, stream) -> None:
     for start in range(0, len(table), _CSV_BLOCK):
         block = table[start:start + _CSV_BLOCK].tolist()
         stream.write("".join(_CSV_ROW % tuple(row) for row in block))
+    return hvals

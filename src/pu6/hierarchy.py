@@ -194,6 +194,11 @@ def coeffs_dual(c4: float, c5: float, c6: float, p: PUParams) -> CombinationCoef
     return CombinationCoeffs(c1, c2, c3, c4, c5, c6)
 
 
+def _duality_cuts(F: np.ndarray) -> tuple[float, float]:
+    """(rank cut, residual bound) of the 36x3 duality system: lstsq's default rcond, 1e-8 of F."""
+    return DIM * DIM * np.finfo(float).eps, 1e-8 * max(1.0, np.abs(F).max())
+
+
 def coeffs_from_tensor(c1: float, c2: float, c3: float, p: PUParams) -> CombinationCoeffs:
     """Hamiltonian weights (c4,c5,c6) dual to given tensor weights (c1,c2,c3).
 
@@ -204,9 +209,10 @@ def coeffs_from_tensor(c1: float, c2: float, c3: float, p: PUParams) -> Combinat
     js, hs, F = _model_matrices(p)
     jbar = sum(c * j for c, j in zip((c1, c2, c3), js))
     cols = np.stack([(jbar @ h).ravel() for h in hs], axis=1)
-    sol, _, rank, _ = np.linalg.lstsq(cols, F.ravel(), rcond=None)
+    rcond, bound = _duality_cuts(F)
+    sol, _, rank, _ = np.linalg.lstsq(cols, F.ravel(), rcond=rcond)
     resid = np.abs(cols @ sol - F.ravel()).max()
-    if rank < 3 or resid > 1e-8 * max(1.0, np.abs(F).max()):
+    if rank < 3 or resid > bound:
         raise SingularCombination(
             f"tensor weights ({c1},{c2},{c3}) cannot reproduce the flow (residual {resid:.3e})"
         )
