@@ -35,12 +35,12 @@ def main() -> int:
     result = pu6.region_scan(grid, f)
     with open(args.out, "w") as fh:
         result.write_csv(fh)
-    print(f"wrote {args.out}: {result.positive_count()} positive of {len(result.cells)} cells")
+    print(f"wrote {args.out}: {result.positive_count()} positive of {result.verdict.size} cells")
 
     # coarse ASCII rendering, axis1 horizontal
     w = min(args.n, 72)
     stride = max(1, args.n // w)
-    verdicts = np.array([c.verdict == "positive" for c in result.cells]).reshape(args.n, args.n)
+    verdicts = (result.verdict == "positive").reshape(args.n, args.n)
     for row in range(args.n - 1, -1, -stride):
         print("".join("#" if verdicts[col, row] else "." for col in range(0, args.n, stride)))
     return 0

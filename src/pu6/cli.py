@@ -27,7 +27,15 @@ from .core import (
     frequency_triple,
     params_from_frequencies,
 )
-from .errors import ComplexBranch, ComplexFrequencies, ConfigError, NonFinite, Pu6Error
+from .errors import (
+    ComplexBranch,
+    ComplexFrequencies,
+    ConfigError,
+    NonFinite,
+    Pu6Error,
+    config_object,
+    config_value,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -60,10 +68,7 @@ class RunConfig:
 
     def section(self, name: str) -> dict:
         """The config object ``name``, empty when absent."""
-        sec = self.sections.get(name, {})
-        if not isinstance(sec, dict):
-            raise ConfigError(f"{name} must be an object, got {sec!r}")
-        return sec
+        return config_object(self.sections.get(name, {}), name)
 
     @property
     def frequencies(self):
@@ -71,18 +76,6 @@ class RunConfig:
         if self.omegas is not None:
             return frequency_triple(*self.omegas, tol=tol)
         return frequencies_from_params(self.params, tol=tol)
-
-
-def _finite(value, name: str, kind: type = float):
-    """``value`` converted by ``kind`` (float or int); ConfigError unless it is finite."""
-    try:
-        out = kind(value)
-        if math.isfinite(out):
-            return out
-    except (TypeError, ValueError, OverflowError):
-        pass
-    what = "an integer" if kind is int else "a finite real"
-    raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig:
@@ -93,39 +86,28 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-    model = raw.get("model", raw)
+    model = config_object(config_object(raw, "config").get("model", raw), "model")
     has_omegas = "omegas" in model
     has_params = all(k in model for k in ("alpha", "beta", "gamma"))
     if has_omegas and has_params:
         raise ConfigError("give either omegas or (alpha, beta, gamma), not both")
     if not has_omegas and not has_params:
         raise ConfigError("config must specify omegas or (alpha, beta, gamma)")
-    try:
-        if has_omegas:
-            om = model["omegas"]
-            if not (isinstance(om, (list, tuple)) and len(om) == 3):
-                raise ConfigError(f"omegas must be a list of three reals, got {om!r}")
-            omegas = tuple(float(v) for v in om)
-            params = params_from_frequencies(frequency_triple(*omegas))
-        else:
-            omegas = None
-            params = PUParams(float(model["alpha"]), float(model["beta"]), float(model["gamma"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model values must be reals: {exc}") from exc
+    if has_omegas:
+        omegas = config_value(model["omegas"], "omegas", shape=(3,))
+        params = params_from_frequencies(frequency_triple(*omegas))
+    else:
+        omegas = None
+        params = PUParams(*(config_value(model[k], k) for k in ("alpha", "beta", "gamma")))
     if not all(map(math.isfinite, (params.alpha, params.beta, params.gamma))):
         raise ConfigError(f"model parameters must be finite, got {params}")
     seed = overrides.seed if overrides.seed is not None else raw.get("seed", 0)
-    seed = _finite(seed, "seed", int)
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
     tol = overrides.tol if overrides.tol is not None else raw.get("tol")
     return RunConfig(
         params=params,
         omegas=omegas,
-        seed=seed,
-        tol=None if tol is None else _finite(tol, "tol"),
+        seed=config_value(seed, "seed", int, minimum=0),
+        tol=None if tol is None else config_value(tol, "tol", minimum=0.0),
         sections=raw,
     )
 
@@ -148,8 +130,8 @@ def _write_json(path: Optional[str], obj: dict) -> None:
 
 def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
     sec = cfg.section("simulate")
-    dt = _finite(sec.get("dt", 1e-3), "simulate.dt")
-    t_end = _finite(sec.get("t_end", 20.0), "simulate.t_end")
+    dt = config_value(sec.get("dt", 1e-3), "simulate.dt")
+    t_end = config_value(sec.get("t_end", 20.0), "simulate.t_end")
     if dt <= 0.0 or t_end <= 0.0:
         raise ConfigError(f"simulate needs dt > 0 and t_end > 0, got dt={dt}, t_end={t_end}")
     steps = t_end / dt
@@ -157,23 +139,27 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
         raise ConfigError(
             f"simulate needs t_end to be a whole, non-zero number of steps dt, got t_end/dt {steps:g}"
         )
-    initial = sec.get("initial", [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    initial = config_value(
+        sec.get("initial", (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)), "simulate.initial", shape=(6,)
+    )
     method = sec.get("method", "rk4")
     if method not in ("rk4", "exact"):
         raise ConfigError(f"simulate.method must be rk4 or exact, got {method!r}")
     interaction = None
-    if "interaction" in sec and sec["interaction"] is not None:
-        isec = sec["interaction"]
+    if sec.get("interaction") is not None:
+        isec = config_object(sec["interaction"], "simulate.interaction")
+        variable = config_value(isec.get("variable", 0), "simulate.interaction.variable", int)
         try:
             if isec.get("kind", "quartic") == "quartic":
                 interaction = dynamics.InteractionSpec.quartic(
-                    lam=float(isec.get("lam", 1.0)), variable=int(isec.get("variable", 0))
+                    lam=config_value(isec.get("lam", 1.0), "simulate.interaction.lam"),
+                    variable=variable,
                 )
             else:
-                interaction = dynamics.InteractionSpec(
-                    coefficients=tuple(float(c) for c in isec["coefficients"]),
-                    variable=int(isec.get("variable", 0)),
+                coefficients = tuple(
+                    config_value(c, "simulate.interaction.coefficients") for c in isec["coefficients"]
                 )
+                interaction = dynamics.InteractionSpec(coefficients=coefficients, variable=variable)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed interaction spec: {exc}") from exc
 
@@ -214,7 +200,9 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out: Optional[str]) -> int:
-    n_random = _finite(cfg.section("verify").get("n_random", 20), "verify.n_random", int)
+    n_random = config_value(
+        cfg.section("verify").get("n_random", 20), "verify.n_random", int, minimum=0
+    )
     rng = np.random.default_rng(cfg.seed)
     results = verification.run_invariant_suite(
         cfg.params, rng=rng, n_random=n_random, tol=cfg.tol
@@ -245,8 +233,8 @@ def cmd_scan(cfg: RunConfig, out: Optional[str]) -> int:
     with _output(out) as stream:
         result.write_csv(stream)
     print(
-        f"{result.positive_count()} positive of {len(result.cells)} cells; "
-        f"{len(result.disagreements)} method disagreements",
+        f"{result.positive_count()} positive of {result.verdict.size} cells; "
+        f"{np.count_nonzero(result.methods_disagree)} method disagreements",
         file=sys.stderr,
     )
     return EXIT_OK

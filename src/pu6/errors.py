@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config checks that raise ConfigError."""
+import math
 
 
 class Pu6Error(Exception):
@@ -59,3 +60,35 @@ class NonFinite(Pu6Error):
 
 class ConfigError(Pu6Error):
     """A run configuration is malformed."""
+
+
+def config_object(value, name: str) -> dict:
+    """``value`` itself when it is a JSON object; ConfigError otherwise."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object, got {value!r}")
+    return value
+
+
+def config_value(value, name: str, kind: type = float, shape: tuple = (), minimum=None):
+    """``value`` as a finite number of ``kind`` (float or int), or as nested tuples of ``shape``.
+
+    Booleans are refused, and so is a fraction for an int; with ``minimum``
+    every number must be at least that.  Anything else is a ConfigError
+    naming ``name``.
+    """
+    if shape:
+        if not (isinstance(value, (list, tuple)) and len(value) == shape[0]):
+            raise ConfigError(f"{name} must be a list of {shape[0]}, got {value!r}")
+        return tuple(
+            config_value(v, f"{name}[{i}]", kind, shape[1:], minimum) for i, v in enumerate(value)
+        )
+    try:
+        out = kind(value)
+        exact = not isinstance(value, bool) and (out == value or not isinstance(value, float))
+        if exact and math.isfinite(out) and (minimum is None or out >= minimum):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    what = "an integer" if kind is int else "a finite real"
+    at_least = "" if minimum is None else f" >= {minimum}"
+    raise ConfigError(f"{name} must be {what}{at_least}, got {value!r}")

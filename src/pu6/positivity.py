@@ -11,7 +11,7 @@ for that criterion rather than a fallback.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,7 +24,7 @@ from .core import (
     _model_matrices,
     params_from_frequencies,
 )
-from .errors import ConfigError, DegenerateFrequencies, SingularCombination
+from .errors import ConfigError, DegenerateFrequencies, SingularCombination, config_value
 from .hierarchy import CombinationCoeffs, _duality_cuts, coeffs_from_tensor
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))  # unordered index pairs, 1-based frequency labels
@@ -262,26 +262,20 @@ class GridSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "GridSpec":
+        def axis(key: str) -> AxisSpec:
+            a = obj[key]
+            bounds = (config_value(a[k], f"{key}.{k}") for k in ("min", "max"))
+            return AxisSpec(a["name"], *bounds, config_value(a["n"], f"{key}.n", int))
+
         try:
-            a1, a2, fx = obj["axis1"], obj["axis2"], obj["fixed"]
             return GridSpec(
-                axis1=AxisSpec(a1["name"], float(a1["min"]), float(a1["max"]), int(a1["n"])),
-                axis2=AxisSpec(a2["name"], float(a2["min"]), float(a2["max"]), int(a2["n"])),
-                fixed_name=fx["name"],
-                fixed_value=float(fx["value"]),
+                axis1=axis("axis1"),
+                axis2=axis("axis2"),
+                fixed_name=obj["fixed"]["name"],
+                fixed_value=config_value(obj["fixed"]["value"], "fixed.value"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed grid spec: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class CellVerdict:
-    c_x: float
-    c_y: float
-    verdict: str  # positive | not_positive | singular
-    min_eigenvalue: float
-    prefactors: tuple[float, float, float]
-    methods_disagree: bool = False
 
 
 _CSV_ROW = "%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g\n"
@@ -289,26 +283,28 @@ _CSV_ROW = "%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g\n"
 
 @dataclass
 class RegionScanResult:
+    """Per-cell columns in row-major axis1-outer order; singular cells hold NaN."""
+
     grid: GridSpec
     frequencies: FrequencyTriple
-    cells: list[CellVerdict] = field(default_factory=list)
-
-    @property
-    def disagreements(self) -> list[CellVerdict]:
-        return [c for c in self.cells if c.methods_disagree]
+    c_x: np.ndarray
+    c_y: np.ndarray
+    verdict: np.ndarray  # positive | not_positive | singular
+    min_eigenvalue: np.ndarray
+    prefactors: np.ndarray  # shape (cells, 3)
+    methods_disagree: np.ndarray
 
     def positive_count(self) -> int:
-        return sum(1 for c in self.cells if c.verdict == "positive")
+        return int(np.count_nonzero(self.verdict == "positive"))
 
     def write_csv(self, stream) -> None:
         """Header plus one line per cell, 17 significant digits, one grid row per write."""
         stream.write("c_x,c_y,verdict,min_eigenvalue,prefactor_1,prefactor_2,prefactor_3\n")
+        cols = (self.c_x, self.c_y, self.verdict, self.min_eigenvalue, *self.prefactors.T)
         n = self.grid.axis2.n
-        for start in range(0, len(self.cells), n):
-            stream.write("".join(
-                _CSV_ROW % (c.c_x, c.c_y, c.verdict, c.min_eigenvalue, *c.prefactors)
-                for c in self.cells[start:start + n]
-            ))
+        for start in range(0, self.verdict.size, n):
+            rows = zip(*(c[start:start + n].tolist() for c in cols))
+            stream.write("".join(_CSV_ROW % row for row in rows))
 
 
 def _axis_values(ax: AxisSpec) -> np.ndarray:
@@ -346,14 +342,15 @@ def _stacked_duality(tensor, p: PUParams):
 def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
     """Evaluate both positivity routes on every grid cell.
 
-    Cells are listed in row-major axis1-outer order and decided one axis1
-    row at a time: one stacked duality solve (``_stacked_duality``), then the
+    The result's columns are allocated once and filled one axis1 row at a
+    time: one stacked duality solve (``_stacked_duality``), then the
     singularity mask, the block prefactors, one stacked ``eigvalsh`` over the
     row's non-singular cells and both verdicts run as array expressions over
-    the row.  A singular tensor combination (from the duality or the
-    tensor-weight polynomials) is recorded as a cell status instead of
-    aborting the scan.  Disagreements between the two routes are expected
-    only inside the boundary band where a prefactor crosses zero.
+    the row and land in its slice through that mask.  A singular tensor
+    combination (from the duality or the tensor-weight polynomials) is
+    recorded as a cell status instead of aborting the scan.  Disagreements
+    between the two routes are expected only inside the boundary band where
+    a prefactor crosses zero.
 
     The duality is the 36x3 least-squares system of ``coeffs_from_tensor``,
     solved for the whole row by SVD, not an exact 3x3 solve of the duality
@@ -364,10 +361,13 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
     """
     _require_non_degenerate(f)
     p = params_from_frequencies(f)
-    result = RegionScanResult(grid=grid, frequencies=f)
-    nan3 = (math.nan, math.nan, math.nan)
-    ys = _axis_values(grid.axis2)
-    for x in _axis_values(grid.axis1).tolist():
+    xs, ys = _axis_values(grid.axis1), _axis_values(grid.axis2)
+    shape = (xs.size, ys.size)
+    verdict = np.full(shape, "singular", dtype="<U12")
+    min_eigenvalue = np.full(shape, np.nan)
+    prefactors = np.full(shape + (3,), np.nan)
+    methods_disagree = np.zeros(shape, dtype=bool)
+    for i, x in enumerate(xs.tolist()):
         row = {grid.axis1.name: x, grid.axis2.name: ys, grid.fixed_name: grid.fixed_value}
         tensor = np.broadcast_arrays(*(row[n] for n in _AXIS_NAMES))
         ham, dual = _stacked_duality(tensor, p)
@@ -378,14 +378,11 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
         lam = vals.min(axis=-1)
         by_pref = np.all(pref > 0.0, axis=-1)
         by_eig = lam > _EIG_REL_TOL * np.abs(vals).max(axis=-1)
-        decided = zip(lam.tolist(), pref.tolist(), by_pref.tolist(), by_eig.tolist())
-        for y, cell_ok in zip(ys.tolist(), ok.tolist()):
-            if not cell_ok:
-                result.cells.append(CellVerdict(x, y, "singular", math.nan, nan3))
-                continue
-            lam_min, prefactors, positive, eig_positive = next(decided)
-            verdict = "positive" if positive else "not_positive"
-            result.cells.append(
-                CellVerdict(x, y, verdict, lam_min, tuple(prefactors), positive != eig_positive)
-            )
-    return result
+        verdict[i, ok] = np.where(by_pref, "positive", "not_positive")
+        min_eigenvalue[i, ok] = lam
+        prefactors[i, ok] = pref
+        methods_disagree[i, ok] = by_pref != by_eig
+    return RegionScanResult(
+        grid, f, np.repeat(xs, ys.size), np.tile(ys, xs.size), verdict.ravel(),
+        min_eigenvalue.ravel(), prefactors.reshape(-1, 3), methods_disagree.ravel(),
+    )

@@ -43,6 +43,8 @@ from .errors import (
     InvalidPermutation,
     ZeroDenominator,
     ZeroKinetic,
+    config_object,
+    config_value,
 )
 from .positivity import PositivityVerdict, eigenvalue_verdict, hbar_prefactors
 
@@ -129,10 +131,9 @@ def _build_ta2(p: PUParams, choices: dict) -> Representation:
         raise DegenerateFrequencies(
             f"the decoupled family needs three distinct frequencies, got {f.omegas}"
         )
-    a = tuple(float(v) for v in choices.get("a", (1.0, 1.0, 1.0)))
+    a = choices.get("a", (1.0, 1.0, 1.0))
     # default permutations pair each row with the two frequencies it does not own
     perms = choices.get("perms", ((2, 3, 1), (1, 3, 2), (1, 2, 3)))
-    perms = tuple(tuple(int(v) for v in row) for row in perms)
     owns = []
     for row in perms:
         if sorted(row) != [1, 2, 3]:
@@ -174,7 +175,7 @@ def ta1_radicand(p: PUParams) -> float:
 
 
 def _build_ta1(p: PUParams, choices: dict) -> Representation:
-    branch = int(choices.get("branch", +1))
+    branch = choices.get("branch", +1)
     R = ta1_radicand(p)
     if R < 0.0:
         raise ComplexBranch(f"fully coupled family has negative radicand {R:.6g} at {p}")
@@ -204,8 +205,8 @@ def _build_tb1(p: PUParams, choices: dict) -> Representation:
     al, be, ga = p.alpha, p.beta, p.gamma
     if al == 0.0:
         raise ZeroDenominator("the scale tau2 = (1 +/- sqrt(...))/(2 alpha) needs alpha != 0")
-    tau_branch = int(choices.get("tau2_branch", +1))
-    g3_branch = int(choices.get("g3_branch", +1))
+    tau_branch = choices.get("tau2_branch", +1)
+    g3_branch = choices.get("g3_branch", +1)
     rad1 = 1.0 + 8.0 * al * (-al * be + ga)
     if rad1 < 0.0:
         raise ComplexBranch(
@@ -248,10 +249,10 @@ def tc1_radicand(p: PUParams, mu0: float, nu0: float, tau0: float) -> float:
 
 def _build_tc1(p: PUParams, choices: dict) -> Representation:
     p.require_gamma()
-    mu0 = float(choices.get("mu0", 1.0))
-    nu0 = float(choices.get("nu0", 1.0))
-    tau0 = float(choices.get("tau0", 1.0))
-    branch = int(choices.get("branch", +1))
+    mu0 = choices.get("mu0", 1.0)
+    nu0 = choices.get("nu0", 1.0)
+    tau0 = choices.get("tau0", 1.0)
+    branch = choices.get("branch", +1)
     if mu0 == 0.0 or nu0 == 0.0 or tau0 == 0.0:
         raise ZeroDenominator(f"mu0, nu0, tau0 must all be nonzero, got {(mu0, nu0, tau0)}")
     al, be, ga = p.alpha, p.beta, p.gamma
@@ -300,12 +301,31 @@ def _build_tc1(p: PUParams, choices: dict) -> Representation:
 
 _BUILDERS = {"Ta1": _build_ta1, "Ta2": _build_ta2, "Tb1": _build_tb1, "Tc1": _build_tc1}
 
+# free choice -> (number kind, list shape); each family reads the choices it uses
+_CHOICES = {
+    "a": (float, (3,)),
+    "perms": (int, (3, 3)),
+    **dict.fromkeys(("mu0", "nu0", "tau0"), (float, ())),
+    **dict.fromkeys(("branch", "tau2_branch", "g3_branch"), (int, ())),
+}
+
 
 def build_representation(kind: str, p: PUParams, free_choices: Optional[dict] = None) -> Representation:
-    """Construct one of the named families at the given model parameters."""
+    """Construct one of the named families at the given model parameters.
+
+    The free choices are converted here, so a malformed one is a ConfigError.
+    """
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
-    return _BUILDERS[kind](p, dict(free_choices or {}))
+    choices = config_object({} if free_choices is None else free_choices, "free_choices")
+    choices = {
+        k: config_value(v, f"free_choices.{k}", *_CHOICES[k]) if k in _CHOICES else v
+        for k, v in choices.items()
+    }
+    for k in ("branch", "tau2_branch", "g3_branch"):
+        if choices.get(k, 1) not in (-1, 1):
+            raise ConfigError(f"free_choices.{k} must be +1 or -1, got {choices[k]}")
+    return _BUILDERS[kind](p, choices)
 
 
 def project_state(r: Representation, p: PUParams, s) -> tuple[np.ndarray, np.ndarray]:

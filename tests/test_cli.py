@@ -203,6 +203,18 @@ def test_scan_bad_grid(tmp_path):
     assert code == 2
 
 
+def test_scan_summary_counts_disagreements(tmp_path, capsys):
+    cfg = _model321()
+    cfg["scan"] = {
+        "axis1": {"name": "c2", "min": -28.99997, "max": -28.99997, "n": 1},
+        "axis2": {"name": "c3", "min": 179.99946, "max": 179.99946, "n": 1},
+        "fixed": {"name": "c1", "value": 1.0},
+    }
+    out = tmp_path / "region.csv"
+    assert cli.main(["--config", _write(tmp_path, "c.json", cfg), "--out", str(out), "scan"]) == 0
+    assert capsys.readouterr().err == "1 positive of 1 cells; 1 method disagreements\n"
+
+
 @pytest.mark.parametrize(
     "old, new", [('"min": -25', '"min": -1e400'), ('"value": 1.0', '"value": NaN')]
 )
@@ -264,6 +276,13 @@ def test_represent_complex_branch_exit_4(tmp_path):
 # malformed input and the exit table
 # ---------------------------------------------------------------------------
 
+# a 2x2 scan section whose axis1 count is filled in
+_SCAN_N = (
+    '"scan": {"axis1": {"name": "c2", "min": -25, "max": -10, "n": %s}, '
+    '"axis2": {"name": "c3", "min": 40, "max": 120, "n": 2}, "fixed": {"name": "c1", "value": 1}}'
+)
+
+
 @pytest.mark.parametrize(
     "text, command",
     [
@@ -283,6 +302,38 @@ def test_represent_complex_branch_exit_4(tmp_path):
         ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"t_end": Infinity}}', "simulate"),
         ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"dt": 0.3, "t_end": 1.0}}', "simulate"),
         ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"dt": 0.5, "t_end": 0.2}}', "simulate"),
+        ('{"model": {"omegas": [2, 2, 1]}, "tol": -1.0}', "verify"),
+        ('{"model": {"omegas": [2, 2, 1]}, "tol": -1.0, %s}' % (_SCAN_N % 2), "scan"),
+        ('{"model": {"omegas": [2, 2, 1]}, "tol": -1.0}', "simulate"),
+        ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"initial": [1, 0, 0, 0, 0]}}', "simulate"),
+        ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"initial": [1, 0, "x", 0, 0, 0]}}', "simulate"),
+        ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"initial": [1, 0, NaN, 0, 0, 0]}}', "simulate"),
+        ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"interaction": [1]}}', "simulate"),
+        ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"interaction": {"variable": 0.5}}}', "simulate"),
+        ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"interaction": {"lam": NaN}}}', "simulate"),
+        ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"interaction": {"kind": "poly", '
+         '"coefficients": [0, 0, 0, NaN]}}}', "simulate"),
+        ('{"model": {"omegas": [3, 2, 1]}, "represent": {"free_choices": [1, 2]}}', "represent"),
+        ('{"model": {"omegas": [3, 2, 1]}, "represent": {"kind": "Ta2", "free_choices": {"a": "xyz"}}}',
+         "represent"),
+        ('{"model": {"omegas": [3, 2, 1]}, "represent": {"kind": "Ta2", "free_choices": {"a": [1, 2]}}}',
+         "represent"),
+        ('{"model": {"omegas": [3, 2, 1]}, "represent": {"kind": "Ta2", "free_choices": {"perms": [1, 2, 3]}}}',
+         "represent"),
+        ('{"model": {"omegas": [3, 2, 1]}, "represent": {"kind": "Tc1", "free_choices": {"mu0": "x"}}}',
+         "represent"),
+        ('{"model": {"omegas": [3, 2, 1]}, "represent": {"kind": "Ta1", "free_choices": {"branch": "up"}}}',
+         "represent"),
+        ('{"model": {"omegas": [3, 2, 1]}, "represent": {"kind": "Tb1", "free_choices": {"g3_branch": 0}}}',
+         "represent"),
+        ('{"model": {"omegas": [3, 2, 1]}, "seed": 1.5}', "verify"),
+        ('{"model": {"omegas": [3, 2, 1]}, "seed": true}', "verify"),
+        ('{"model": {"omegas": [3, 2, 1]}, %s}' % (_SCAN_N % 2.7), "scan"),
+        ('{"model": {"omegas": [3, 2, 1]}, %s}' % (_SCAN_N % "true"), "scan"),
+        ('{"model": {"omegas": [3, 2, 1]}, %s}' % (_SCAN_N % 2).replace("1}", "true}"), "scan"),
+        ('{"model": {"omegas": [3, 2, 1]}, "verify": {"n_random": -5}}', "verify"),
+        ('{"model": 5}', "verify"),
+        ('{"model": {"omegas": [true, 2, 1]}}', "verify"),
     ],
 )
 def test_malformed_input_exit_2(tmp_path, capsys, text, command):
@@ -291,6 +342,29 @@ def test_malformed_input_exit_2(tmp_path, capsys, text, command):
     assert cli.main(["--config", str(path), "--out", str(tmp_path / "o.json"), command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_negative_tol_flag_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, "c.json", {"model": {"omegas": [2, 2, 1]}})
+    assert cli.main(["--config", path, "--tol", "-1", "--out", str(tmp_path / "o.json"), "verify"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: tol ") and err.count("\n") == 1
+
+
+def test_integral_float_counts_are_accepted(tmp_path):
+    cfg = _scan_cfg(2, 2)
+    cfg["scan"]["axis1"]["n"] = 2.0
+    cfg["seed"] = 3.0
+    out = tmp_path / "region.csv"
+    assert cli.main(["--config", _write(tmp_path, "c.json", cfg), "--out", str(out), "scan"]) == 0
+    assert len(out.read_text().strip().split("\n")) == 5
+
+
+def test_config_value_keeps_integers_exact():
+    assert pu6.errors.config_value(2 ** 70 + 1, "seed", int) == 2 ** 70 + 1
+    assert pu6.errors.config_value((1, "2.5"), "pair", shape=(2,)) == (1.0, 2.5)
+    with pytest.raises(pu6.ConfigError, match=r"pair\[1\] must be a finite real >= 0"):
+        pu6.errors.config_value((1, -2), "pair", shape=(2,), minimum=0)
 
 
 def _subclasses(cls):

@@ -186,9 +186,7 @@ def _grid(ax1, ax2, fixed_name, fixed_value, n1, n2):
 
 def test_scan_single_cell(std_freqs):
     grid = _grid(("c2", -18, -18), ("c3", 80, 80), "c1", 1.0, 1, 1)
-    res = pu6.region_scan(grid, std_freqs)
-    assert len(res.cells) == 1
-    assert res.cells[0].verdict == "positive"
+    assert pu6.region_scan(grid, std_freqs).verdict.tolist() == ["positive"]
 
 
 def test_scan_positive_region_nonempty(std_freqs):
@@ -196,9 +194,8 @@ def test_scan_positive_region_nonempty(std_freqs):
     res = pu6.region_scan(grid, std_freqs)
     assert res.positive_count() > 0
     # every disagreement sits inside the prefactor boundary band
-    for cell in res.disagreements:
-        pref = np.abs(np.asarray(cell.prefactors))
-        assert pref.min() <= 1e-8 * pref.max()
+    pref = np.abs(res.prefactors[res.methods_disagree])
+    assert np.all(pref.min(axis=-1) <= 1e-8 * pref.max(axis=-1))
 
 
 def test_scan_zero_plane_has_no_positive_cells(std_freqs):
@@ -228,17 +225,16 @@ def test_scan_deterministic(std_freqs):
 def _reference_scan(grid, f):
     """Per-cell reference: the duality, then each positivity route on its own.
 
-    Returns the cells and, per cell, the spectral norm of its combined form
-    (NaN for singular cells).
+    Returns the result columns by name and, per cell, the spectral norm of
+    its combined form (NaN for singular cells).
     """
     p = pu6.params_from_frequencies(f)
     nan3 = (np.nan, np.nan, np.nan)
-    norms = []
+    rows, norms = [], []
     axes = [
         np.linspace(ax.lo, ax.hi, ax.n) if ax.n > 1 else np.array([0.5 * (ax.lo + ax.hi)])
         for ax in (grid.axis1, grid.axis2)
     ]
-    cells = []
     for x in axes[0]:
         for y in axes[1]:
             w = {grid.axis1.name: float(x), grid.axis2.name: float(y),
@@ -247,23 +243,17 @@ def _reference_scan(grid, f):
                 c = pu6.coeffs_from_tensor(w["c1"], w["c2"], w["c3"], p)
                 by_pref = pu6.positivity_verdict(c, f, "prefactor")
             except pu6.SingularCombination:
-                cells.append(pu6.positivity.CellVerdict(x, y, "singular", np.nan, nan3))
+                rows.append((x, y, "singular", np.nan, nan3, False))
                 norms.append(np.nan)
                 continue
             by_eig = pu6.positivity_verdict(c, f, "eigenvalue")
-            cells.append(pu6.positivity.CellVerdict(
-                float(x), float(y), "positive" if by_pref.positive else "not_positive",
+            rows.append((
+                x, y, "positive" if by_pref.positive else "not_positive",
                 by_eig.min_eigenvalue, by_pref.prefactors, by_pref.positive != by_eig.positive,
             ))
             norms.append(pu6.positivity.eigenvalue_split(pu6.combined_form(c, p))[2])
-    return cells, norms
-
-
-def _same(a, b):
-    """Exact equality, with NaN equal to NaN."""
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(map(_same, a, b))
-    return a == b or (a != a and b != b)
+    names = ("c_x", "c_y", "verdict", "min_eigenvalue", "prefactors", "methods_disagree")
+    return {name: np.array(col) for name, col in zip(names, zip(*rows))}, np.array(norms)
 
 
 @pytest.mark.parametrize(
@@ -274,6 +264,9 @@ def _same(a, b):
         (_grid(("c2", -50, 50), ("c3", -150, 150), "c1", 0.0, 40, 40), 14),
         (_grid(("c1", -1, 1), ("c2", -2, 2), "c3", 0.0, 3, 5), 1),  # rank 0 at (0, 0, 0)
         (_grid(("c3", 80, 80), ("c2", -18, -18), "c1", 1.0, 1, 1), 0),
+        # P_13 = -2.7e-4 leaves every prefactor positive, but lambda_min is only 8.3e-11
+        # of the spectral norm, under the eigenvalue rule's 1e-10: the routes disagree
+        (_grid(("c2", -28.99997, -28.99997), ("c3", 179.99946, 179.99946), "c1", 1.0, 1, 1), 0),
     ],
 )
 def test_scan_matches_per_cell_reference(std_freqs, grid, singular):
@@ -283,20 +276,18 @@ def test_scan_matches_per_cell_reference(std_freqs, grid, singular):
     ``lstsq``, so its eigenvalues and prefactors differ in the last bits
     (at most about 1e-12 of the scale on the benchmark grids).
     """
-    cells = pu6.region_scan(grid, std_freqs).cells
-    reference, norms = _reference_scan(grid, std_freqs)
-    assert len(cells) == len(reference) == grid.axis1.n * grid.axis2.n
-    assert sum(c.verdict == "singular" for c in cells) == singular
-    for cell, ref, norm in zip(cells, reference, norms):
-        for name in ("c_x", "c_y", "verdict", "methods_disagree"):
-            assert _same(getattr(cell, name), getattr(ref, name)), (name, cell, ref)
-        if ref.verdict == "singular":
-            assert _same(cell.min_eigenvalue, ref.min_eigenvalue), (cell, ref)
-            assert _same(cell.prefactors, ref.prefactors), (cell, ref)
-            continue
-        assert abs(cell.min_eigenvalue - ref.min_eigenvalue) <= 1e-11 * norm, (cell, ref)
-        scale = np.abs(ref.prefactors).max()
-        assert np.abs(np.subtract(cell.prefactors, ref.prefactors)).max() <= 1e-11 * scale, (cell, ref)
+    res = pu6.region_scan(grid, std_freqs)
+    ref, norms = _reference_scan(grid, std_freqs)
+    assert res.verdict.size == ref["verdict"].size == grid.axis1.n * grid.axis2.n
+    assert np.count_nonzero(res.verdict == "singular") == singular
+    for name in ("c_x", "c_y", "verdict", "methods_disagree"):
+        np.testing.assert_array_equal(getattr(res, name), ref[name], err_msg=name)
+    live = ref["verdict"] != "singular"
+    assert np.isnan(res.min_eigenvalue[~live]).all() and np.isnan(res.prefactors[~live]).all()
+    lam_err = np.abs(res.min_eigenvalue[live] - ref["min_eigenvalue"][live])
+    assert np.all(lam_err <= 1e-11 * norms[live]), lam_err.max()
+    pref_err = np.abs(res.prefactors[live] - ref["prefactors"][live]).max(axis=-1)
+    assert np.all(pref_err <= 1e-11 * np.abs(ref["prefactors"][live]).max(axis=-1)), pref_err.max()
 
 
 def test_scan_threshold_cell_stays_singular():
@@ -312,15 +303,15 @@ def test_scan_threshold_cell_stays_singular():
     with pytest.raises(pu6.SingularCombination):
         pu6.coeffs_from_tensor(1.0, c2, c3, pu6.params_from_frequencies(f))
     grid = _grid(("c2", c2, c2), ("c3", c3, c3), "c1", 1.0, 1, 1)
-    assert [c.verdict for c in pu6.region_scan(grid, f).cells] == ["singular"]
+    assert pu6.region_scan(grid, f).verdict.tolist() == ["singular"]
 
 
 def test_scan_rank_zero_grid_raises_no_warning(std_freqs):
     grid = _grid(("c1", -1, 1), ("c2", -2, 2), "c3", 0.0, 3, 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cells = pu6.region_scan(grid, std_freqs).cells
-    assert sum(c.verdict == "singular" for c in cells) == 1
+        verdict = pu6.region_scan(grid, std_freqs).verdict
+    assert np.count_nonzero(verdict == "singular") == 1
 
 
 def test_stacked_duality_matches_per_cell_solve(std_params, rng):
@@ -350,9 +341,10 @@ def test_scan_csv_matches_csv_writer_reference(std_freqs):
     w.writerow(
         ["c_x", "c_y", "verdict", "min_eigenvalue", "prefactor_1", "prefactor_2", "prefactor_3"]
     )
-    for c in res.cells:
-        w.writerow([f"{c.c_x:.17g}", f"{c.c_y:.17g}", c.verdict, f"{c.min_eigenvalue:.17g}"]
-                   + [f"{v:.17g}" for v in c.prefactors])
+    for x, y, verdict, lam, pref in zip(
+        res.c_x, res.c_y, res.verdict, res.min_eigenvalue, res.prefactors
+    ):
+        w.writerow([f"{x:.17g}", f"{y:.17g}", verdict, f"{lam:.17g}"] + [f"{v:.17g}" for v in pref])
     out = io.StringIO()
     res.write_csv(out)
     assert out.getvalue() == ref.getvalue()
