@@ -86,7 +86,8 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    model = config_object(config_object(raw, "config").get("model", raw), "model")
+    raw = config_object(raw, "config")
+    model = config_object(raw.get("model", raw), "model")
     has_omegas = "omegas" in model
     has_params = all(k in model for k in ("alpha", "beta", "gamma"))
     if has_omegas and has_params:

@@ -363,7 +363,7 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
     p = params_from_frequencies(f)
     xs, ys = _axis_values(grid.axis1), _axis_values(grid.axis2)
     shape = (xs.size, ys.size)
-    verdict = np.full(shape, "singular", dtype="<U12")
+    verdict = np.full(shape, "singular", dtype="<U12")  # 12 = len("not_positive")
     min_eigenvalue = np.full(shape, np.nan)
     prefactors = np.full(shape + (3,), np.nan)
     methods_disagree = np.zeros(shape, dtype=bool)
