@@ -109,25 +109,22 @@ class ExactSolution:
     def state(self, t: float) -> np.ndarray:
         return self.states(np.array([t]))[0]
 
-    def states(self, times) -> np.ndarray:
-        """State vectors (derivative orders 0..5) at the given times."""
-        ts = np.asarray(times, dtype=float)
-        out = np.zeros((ts.size, DIM))
-        for order in range(DIM):
-            acc = np.zeros_like(ts)
-            for cf, mode in zip(self.coefficients, self.modes):
-                if cf != 0.0:
-                    acc = acc + cf * mode.derivative(ts, order)
-            out[:, order] = acc
-        return out
-
-    def sixth_derivative(self, times) -> np.ndarray:
+    def _mode_sum(self, times, order: int) -> np.ndarray:
+        """The order-th time derivative of q: the coefficient-weighted mode derivatives."""
         ts = np.asarray(times, dtype=float)
         acc = np.zeros_like(ts)
         for cf, mode in zip(self.coefficients, self.modes):
             if cf != 0.0:
-                acc = acc + cf * mode.derivative(ts, DIM)
+                acc = acc + cf * mode.derivative(ts, order)
         return acc
+
+    def states(self, times) -> np.ndarray:
+        """State vectors (derivative orders 0..5) at the given times."""
+        ts = np.asarray(times, dtype=float)
+        return np.column_stack([self._mode_sum(ts, order) for order in range(DIM)])
+
+    def sixth_derivative(self, times) -> np.ndarray:
+        return self._mode_sum(times, DIM)
 
     def flow_residual(self, times, p: Optional[PUParams] = None) -> float:
         """max over times of ||ds/dt - F s|| / max(||s||), all derivatives analytic."""
@@ -209,11 +206,9 @@ class InteractionSpec:
         return sum(i * (i - 1) * c * x ** (i - 2) for i, c in enumerate(self.coefficients) if i >= 2)
 
 
-def interaction_field(p: PUParams, w: Optional[InteractionSpec]):
+def interaction_field(p: PUParams, w: InteractionSpec):
     """Right-hand side of ds/dt; the potential gradient enters the last slot."""
     F = flow_operator(p)
-    if w is None:
-        return lambda s: F @ s
     slot = w.variable
 
     def field(s):
@@ -335,10 +330,14 @@ def value_drift(values) -> np.ndarray:
     return np.array([float(np.abs(v - v[0]).max() / max(abs(v[0]), 1e-300)) for v in values])
 
 
+def _form_values(states: np.ndarray, matrices) -> list[np.ndarray]:
+    """Per matrix A, H(s(t)) = s^T A s / 2 along the rows of ``states``."""
+    return [0.5 * np.einsum("ti,ij,tj->t", states, a, states) for a in matrices]
+
+
 def conservation_drift(traj: Trajectory, forms: Sequence[QuadraticForm]) -> np.ndarray:
     """Per form, max_t |H(s(t)) - H(s(0))| / max(|H(s(0))|, floor)."""
-    s = traj.states
-    return value_drift([0.5 * np.einsum("ti,ij,tj->t", s, h.matrix, s) for h in forms])
+    return value_drift(_form_values(traj.states, [h.matrix for h in forms]))
 
 
 _CSV_ROW = ",".join(["%.17g"] * 10) + "\n"
@@ -349,7 +348,7 @@ def trajectory_csv(traj: Trajectory, p: PUParams, stream) -> list[np.ndarray]:
     """Write t, the six state slots and H1..H3 per row, to 17 digits; return the H columns."""
     _, hs, _ = _model_matrices(p)
     stream.write("t,q,qdot,qddot,q3t,q4t,q5t,H1,H2,H3\n")
-    hvals = [0.5 * np.einsum("ti,ij,tj->t", traj.states, h, traj.states) for h in hs]
+    hvals = _form_values(traj.states, hs)
     table = np.column_stack([traj.times, traj.states, *hvals])
     for start in range(0, len(table), _CSV_BLOCK):
         block = table[start:start + _CSV_BLOCK].tolist()

@@ -95,10 +95,8 @@ def hamiltonian_n_closed(n: int, p: PUParams) -> QuadraticForm:
         raise DegenerateFrequencies(
             f"closed-form coefficients have vanishing denominators at {f.omegas}"
         )
-    k = _closed_coefficients(n, f)
     _, hs, _ = _model_matrices(p)
-    A = sum(k[i] * hs[i] for i in range(3))
-    return QuadraticForm(A)
+    return QuadraticForm(_weighted_sum(_closed_coefficients(n, f), hs))
 
 
 def _recursion(n: int, p: PUParams, check_tol: float = 1e-8) -> list[np.ndarray]:
@@ -194,46 +192,61 @@ def coeffs_dual(c4: float, c5: float, c6: float, p: PUParams) -> CombinationCoef
     return CombinationCoeffs(c1, c2, c3, c4, c5, c6)
 
 
-def _duality_cuts(F: np.ndarray) -> tuple[float, float]:
-    """(rank cut, residual bound) of the 36x3 duality system: lstsq's default rcond, 1e-8 of F."""
-    return DIM * DIM * np.finfo(float).eps, 1e-8 * max(1.0, np.abs(F).max())
+def _weighted_sum(weights, mats) -> np.ndarray:
+    """sum_k w_k M_k for three matrices; stacked weights (...,) give stacked sums (..., 6, 6)."""
+    return sum(np.asarray(w)[..., None, None] * m for w, m in zip(weights, mats))
+
+
+def _span_weights(cols: np.ndarray, target: np.ndarray):
+    """Least-squares weights (..., 3) of ``target`` (36,) over stacked (..., 36, 3) ``cols``.
+
+    One SVD also gives the largest residual entry and the solvable mask: full
+    rank (s_min > 36 eps s_max, lstsq's default rcond) and a residual within
+    1e-8 of max|target|.
+    """
+    u, s, vt = np.linalg.svd(cols, full_matrices=False)
+    with np.errstate(divide="ignore", invalid="ignore"):  # s = 0 for an all-zero system
+        w = (np.swapaxes(vt, -1, -2) @ ((target @ u) / s)[..., None])[..., 0]
+        resid = np.abs((cols @ w[..., None])[..., 0] - target).max(axis=-1)
+    full_rank = s[..., -1] > DIM * DIM * np.finfo(float).eps * s[..., 0]
+    return w, resid, full_rank & (resid <= 1e-8 * np.abs(target).max())
+
+
+def _tensor_duality(tensor, p: PUParams):
+    """``_span_weights`` of F over Jbar A1..A3 for scalar or stacked tensor weights (c1,c2,c3)."""
+    p.require_gamma()
+    js, hs, F = _model_matrices(p)
+    jbar = _weighted_sum(tensor, js)
+    cols = np.stack([(jbar @ h).reshape(jbar.shape[:-2] + (DIM * DIM,)) for h in hs], axis=-1)
+    return _span_weights(cols, F.ravel())
 
 
 def coeffs_from_tensor(c1: float, c2: float, c3: float, p: PUParams) -> CombinationCoeffs:
     """Hamiltonian weights (c4,c5,c6) dual to given tensor weights (c1,c2,c3).
 
-    Solves the 3x3 linear system requiring Jbar grad(Hbar) = F s; raises when
-    the chosen tensor combination cannot reproduce the flow.
+    Least squares on Jbar (c4 A1 + c5 A2 + c6 A3) = F, one cell of the solve
+    ``region_scan`` runs per row; raises when the tensor combination cannot
+    reproduce the flow (rank deficient, or residual above 1e-8 of max|F|).
     """
-    p.require_gamma()
-    js, hs, F = _model_matrices(p)
-    jbar = sum(c * j for c, j in zip((c1, c2, c3), js))
-    cols = np.stack([(jbar @ h).ravel() for h in hs], axis=1)
-    rcond, bound = _duality_cuts(F)
-    sol, _, rank, _ = np.linalg.lstsq(cols, F.ravel(), rcond=rcond)
-    resid = np.abs(cols @ sol - F.ravel()).max()
-    if rank < 3 or resid > bound:
+    ham, resid, ok = _tensor_duality((c1, c2, c3), p)
+    if not ok:
         raise SingularCombination(
             f"tensor weights ({c1},{c2},{c3}) cannot reproduce the flow (residual {resid:.3e})"
         )
-    return CombinationCoeffs(c1, c2, c3, sol[0], sol[1], sol[2])
+    return CombinationCoeffs(c1, c2, c3, *ham)
 
 
 def combined_form(c: CombinationCoeffs, p: PUParams) -> QuadraticForm:
     """The combined Hamiltonian c4 H1 + c5 H2 + c6 H3 as a form."""
     _, hs, _ = _model_matrices(p)
-    A = sum(w * h for w, h in zip(c.hamiltonian_weights, hs))
-    return QuadraticForm(A)
+    return QuadraticForm(_weighted_sum(c.hamiltonian_weights, hs))
 
 
 def combined_flow(c: CombinationCoeffs, p: PUParams) -> np.ndarray:
     """Jbar Abar: the flow generated by the combined tensor and Hamiltonian."""
     p.require_gamma()
     js, _, _ = _model_matrices(p)
-    jbar = np.zeros((DIM, DIM))
-    for w, j in zip(c.poisson_weights, js):
-        jbar += w * j
-    return jbar @ combined_form(c, p).matrix
+    return _weighted_sum(c.poisson_weights, js) @ combined_form(c, p).matrix
 
 
 def flow_expansion_coefficients(c: CombinationCoeffs, p: PUParams) -> np.ndarray:

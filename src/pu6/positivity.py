@@ -25,7 +25,8 @@ from .core import (
     params_from_frequencies,
 )
 from .errors import ConfigError, DegenerateFrequencies, SingularCombination, config_value
-from .hierarchy import CombinationCoeffs, _duality_cuts, coeffs_from_tensor
+from .hierarchy import CombinationCoeffs, _tensor_duality, _weighted_sum
+from .hierarchy import coeffs_from_tensor  # noqa: F401  perfbench/tests checks its rebinding here
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))  # unordered index pairs, 1-based frequency labels
 _EIG_REL_TOL = 1e-10  # eigenvalue rule: positive iff lambda_min > _EIG_REL_TOL * spectral norm
@@ -161,7 +162,7 @@ def _polynomial_vanishes(poly: np.ndarray):
 def _hbar_matrix(weights, p: PUParams) -> np.ndarray:
     """Symmetrised c4 H1 + c5 H2 + c6 H3 for scalar or stacked weights, shape (..., 6, 6)."""
     _, hs, _ = _model_matrices(p)
-    a = sum(np.asarray(w)[..., None, None] * h for w, h in zip(weights, hs))
+    a = _weighted_sum(weights, hs)
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
@@ -313,51 +314,25 @@ def _axis_values(ax: AxisSpec) -> np.ndarray:
     return np.linspace(ax.lo, ax.hi, ax.n)
 
 
-def _stacked_duality(tensor, p: PUParams):
-    """Hamiltonian weights (n, 3) and solvable mask for three length-n tensor-weight arrays.
-
-    One stacked SVD solves the n 36x3 systems of ``coeffs_from_tensor``; a
-    cell within 1e-2 of its residual bound or 1e3 of its rank cut is decided
-    by that function itself, so the solvable set is the same as its own.
-    """
-    js, hs, F = _model_matrices(p)
-    jbar = sum(c[:, None, None] * j for c, j in zip(tensor, js))
-    cols = np.stack([(jbar @ h).reshape(-1, DIM * DIM) for h in hs], axis=-1)
-    u, s, vt = np.linalg.svd(cols, full_matrices=False)
-    b = F.ravel()
-    with np.errstate(divide="ignore", invalid="ignore"):  # s = 0 at the rank-0 cell
-        ham = (np.swapaxes(vt, -1, -2) @ ((b @ u) / s)[..., None])[..., 0]
-        resid = np.abs((cols @ ham[..., None])[..., 0] - b).max(axis=-1)
-    rcond, bound = _duality_cuts(F)
-    solved = (resid <= 1e-2 * bound) & (s[:, -1] > 1e3 * rcond * s[:, 0])
-    for i in np.flatnonzero(~solved).tolist():
-        try:
-            ham[i] = coeffs_from_tensor(*(c[i] for c in tensor), p).hamiltonian_weights
-            solved[i] = True
-        except SingularCombination:
-            pass
-    return ham, solved
-
-
 def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
     """Evaluate both positivity routes on every grid cell.
 
     The result's columns are allocated once and filled one axis1 row at a
-    time: one stacked duality solve (``_stacked_duality``), then the
-    singularity mask, the block prefactors, one stacked ``eigvalsh`` over the
-    row's non-singular cells and both verdicts run as array expressions over
-    the row and land in its slice through that mask.  A singular tensor
-    combination (from the duality or the tensor-weight polynomials) is
-    recorded as a cell status instead of aborting the scan.  Disagreements
-    between the two routes are expected only inside the boundary band where
-    a prefactor crosses zero.
+    time: one stacked duality solve, then the singularity mask, the block
+    prefactors, one stacked ``eigvalsh`` over the row's non-singular cells
+    and both verdicts run as array expressions over the row and land in its
+    slice through that mask.  A singular tensor combination (from the
+    duality or the tensor-weight polynomials) is recorded as a cell status
+    instead of aborting the scan.  Disagreements between the two routes are
+    expected only inside the boundary band where a prefactor crosses zero.
 
     The duality is the 36x3 least-squares system of ``coeffs_from_tensor``,
-    solved for the whole row by SVD, not an exact 3x3 solve of the duality
+    solved by the same routine (``hierarchy._tensor_duality``) for the whole
+    row at once, so every cell gets the weights and the singular verdict of
+    ``coeffs_from_tensor``.  It is not an exact 3x3 solve of the duality
     table: the benchmark's scan check (``perfbench/checks.py``) recomputes
     cells from the same least-squares system, whose error near the boundary
     band exceeds the 1e-10 eigenvalue bound, so a more exact solver fails it.
-    The stacked solve stays within about 1e-12 (relative) of that system's ``lstsq``.
     """
     _require_non_degenerate(f)
     p = params_from_frequencies(f)
@@ -370,7 +345,7 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
     for i, x in enumerate(xs.tolist()):
         row = {grid.axis1.name: x, grid.axis2.name: ys, grid.fixed_name: grid.fixed_value}
         tensor = np.broadcast_arrays(*(row[n] for n in _AXIS_NAMES))
-        ham, dual = _stacked_duality(tensor, p)
+        ham, _, dual = _tensor_duality(tensor, p)
         ok = dual & ~_polynomial_vanishes(tensor_weight_polynomials(*tensor, f))
         weights = ham[ok].T
         pref = hbar_prefactors(*weights, f)

@@ -46,6 +46,7 @@ from .errors import (
     config_object,
     config_value,
 )
+from .hierarchy import _span_weights
 from .positivity import PositivityVerdict, eigenvalue_verdict, hbar_prefactors
 
 KINDS = ("Ta1", "Ta2", "Tb1", "Tc1")
@@ -477,9 +478,8 @@ def transformed_coefficients(r: Representation, p: PUParams) -> tuple[float, flo
     A6 = S.T @ legendre_hamiltonian(r).matrix @ S  # D A6 D = sum_k c_hat_k A_hat_k
     _, hs, _ = _model_matrices(pc)
     cols = np.stack([h.ravel() for h in hs], axis=1)
-    sol, _, _, _ = np.linalg.lstsq(cols, A6.ravel(), rcond=None)
-    resid = np.abs(cols @ sol - A6.ravel()).max()
-    if resid > 1e-8 * np.abs(A6).max():
+    sol, resid, ok = _span_weights(cols, A6.ravel())
+    if not ok:
         raise EquivalenceFailure(
             -1, float(resid), f"pulled-back energy of {r.kind} is not a combination of H1..H3"
         )

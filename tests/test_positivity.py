@@ -290,20 +290,28 @@ def test_scan_matches_per_cell_reference(std_freqs, grid, singular):
     assert np.all(pref_err <= 1e-11 * np.abs(ref["prefactors"][live]).max(axis=-1)), pref_err.max()
 
 
-def test_scan_threshold_cell_stays_singular():
-    """A cell whose lstsq residual sits just above the duality bound is singular, as per cell.
+def test_scan_threshold_cell_agrees_with_per_cell_solve():
+    """A cell whose duality residual sits at the bound gets the per-cell weights and verdict.
 
-    At (c1, c2, c3) = (1, -11.30269773347182, 28.643845596032875) the
-    ``lstsq`` residual is 1.629e-7 against the bound 1.617e-7, while the
-    stacked SVD's is 1.581e-7: only the per-cell re-solve of borderline
-    cells keeps the verdict of ``coeffs_from_tensor``.
+    At (c1, c2, c3) = (1, -11.30269773347182, 28.643845596032875) the 36x3
+    residual is about 1.60e-7 against the bound 1.617e-7; an ``lstsq`` of
+    the same system gave 1.629e-7 and called the cell singular.  It is not:
+    at 50 digits P_13 = c3 + c2 m13 + c1 m13^2 = +3.29e-5, so the middle
+    prefactor is negative (about -6.9e4) and the form is not positive.
     """
     f = pu6.frequency_triple(2.130662573341623, 1.513206935793438, 0.9192824061847678)
     c2, c3 = -11.30269773347182, 28.643845596032875
-    with pytest.raises(pu6.SingularCombination):
-        pu6.coeffs_from_tensor(1.0, c2, c3, pu6.params_from_frequencies(f))
+    c = pu6.coeffs_from_tensor(1.0, c2, c3, pu6.params_from_frequencies(f))
+    assert pu6.tensor_weight_polynomials(1.0, c2, c3, f)[1] > 0.0
     grid = _grid(("c2", c2, c2), ("c3", c3, c3), "c1", 1.0, 1, 1)
-    assert pu6.region_scan(grid, f).verdict.tolist() == ["singular"]
+    res = pu6.region_scan(grid, f)
+    assert res.verdict.tolist() == ["not_positive"]
+    assert not pu6.positivity_verdict(c, f).positive
+    pref = pu6.hbar_prefactors(*c.hamiltonian_weights, f)
+    np.testing.assert_allclose(res.prefactors[0], pref, rtol=1e-12)
+    assert pref[1] < 0.0 < min(pref[0], pref[2])
+    lam = pu6.positivity_verdict(c, f, method="eigenvalue").min_eigenvalue
+    assert res.min_eigenvalue[0] == pytest.approx(lam, rel=1e-12) and lam < 0.0
 
 
 def test_scan_rank_zero_grid_raises_no_warning(std_freqs):
@@ -315,13 +323,13 @@ def test_scan_rank_zero_grid_raises_no_warning(std_freqs):
 
 
 def test_stacked_duality_matches_per_cell_solve(std_params, rng):
-    """The scan's stacked duality agrees with coeffs_from_tensor, singular set included."""
+    """The stacked duality solve agrees with coeffs_from_tensor, singular set included."""
     w = rng.normal(size=(3, 200)) * [[1.0], [20.0], [100.0]]
     # c3 + c2 m + c1 m^2 vanishing at the pair products 36, 9, 4, and the rank-0 cell
     zeros = np.array([[0, 0, 1, 1, 1, 0], [1, 1, -45, -13, -40, 0], [-9, -4, 324, 36, 144, 0]])
     w[:, :6] = zeros
     w[:, 6:66] = np.tile(zeros, 10) * (1 + rng.normal(size=(3, 60)) * 10.0 ** rng.uniform(-9, -4, 60))
-    ham, solved = pu6.positivity._stacked_duality(tuple(w), std_params)
+    ham, _, solved = pu6.hierarchy._tensor_duality(tuple(w), std_params)
     assert 20 <= (~solved).sum() <= 100
     for cell, h, ok in zip(w.T, ham, solved):
         try:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,18 @@ def test_ta2_transformed_coefficients(std_params):
     assert c6 == pytest.approx(al / ga, rel=1e-9)
     # middle weight: -(1/gamma) sum own^4 (pair sum) = 3 - alpha beta / gamma
     assert c5 == pytest.approx(3.0 - al * be / ga, rel=1e-9)
+
+
+def test_transformed_coefficients_refuse_energy_outside_the_span(std_params):
+    """A pulled-back energy that is no combination of H1..H3 raises instead of projecting."""
+    rep = pu6.build_representation("Ta2", std_params)
+    b = rep.params3d.b
+    bad = dataclasses.replace(
+        rep, params3d=dataclasses.replace(rep.params3d, b=(b[0] * 1.01, b[1], b[2]))
+    )
+    with pytest.raises(pu6.EquivalenceFailure) as exc:
+        pu6.transformed_coefficients(bad, std_params)
+    assert exc.value.residual > 1e-3
 
 
 def test_ta2_decoupled_residual(std_params):
