@@ -27,6 +27,10 @@ DIM = 6
 # state slot indices, for readability in matrix assembly
 Q, QD, QDD, Q3T, Q4T, Q5T = range(6)
 
+# unordered frequency pairs (j, k), 1-based labels into the descending triple;
+# the columns of FrequencyTriple.pairs and every per-pair result follow this order
+PAIRS = ((1, 2), (1, 3), (2, 3))
+
 
 class Degeneracy(enum.Enum):
     NON_DEGENERATE = "non_degenerate"
@@ -63,6 +67,23 @@ class FrequencyTriple:
     def squares(self) -> tuple[float, float, float]:
         w1, w2, w3 = self.omegas
         return (w1 * w1, w2 * w2, w3 * w3)
+
+    @functools.cached_property
+    def pairs(self) -> np.ndarray:
+        """Read-only pair table (4, 3): rows m, s, r, den, one column per pair of ``PAIRS``.
+
+        For the pair (j, k) with remaining label i, m = w_j^2 w_k^2 is the pair
+        product, s = w_j^2 + w_k^2 the pair sum, r = w_i^2 the remaining square
+        and den = 2 (w_j^2 - r)(w_k^2 - r) the block denominator, which is 0
+        when either square of the pair equals r.
+        """
+        sq = self.squares
+        table = np.array([  # the remaining label is i = 6 - j - k
+            (a * b, a + b, r, 2.0 * (a - r) * (b - r))
+            for a, b, r in ((sq[j - 1], sq[k - 1], sq[5 - j - k]) for j, k in PAIRS)
+        ]).T
+        table.flags.writeable = False
+        return table
 
     def is_degenerate(self) -> bool:
         return self.degeneracy is not Degeneracy.NON_DEGENERATE
@@ -170,7 +191,7 @@ def frequencies_from_params(p: PUParams, tol: float = 1e-9) -> FrequencyTriple:
     disc_scale = max(1e-300, max(abs(t) for t in disc_terms))
     triple_resid = abs(al * al - 3.0 * be)
 
-    if abs(disc) <= 1e-12 * disc_scale and triple_resid <= 1e-10 * max(1.0, al * al, 3.0 * abs(be)):
+    if abs(disc) <= 1e-12 * disc_scale and triple_resid <= 1e-10 * max(al * al, 3.0 * abs(be)):
         lam0 = al / 3.0
         if lam0 <= 0.0:
             raise ComplexFrequencies(f"triple root {lam0} of the cubic of {p} is not positive")

@@ -156,11 +156,11 @@ def solve_exact(f: FrequencyTriple, initial) -> ExactSolution:
     return ExactSolution(frequencies=f, modes=tuple(modes), coefficients=coeffs)
 
 
-def divergent_mode_present(sol: ExactSolution, rel_tol: float = 1e-9) -> bool:
-    """True when any t- or t^2-multiplied mode carries a nonzero coefficient."""
+def divergent_mode_present(sol: ExactSolution) -> bool:
+    """True when any t- or t^2-multiplied mode carries a coefficient above 1e-9 of the largest."""
     scale = max(1e-300, float(np.abs(sol.coefficients).max()))
     return any(
-        m.power > 0 and abs(c) > rel_tol * scale
+        m.power > 0 and abs(c) > 1e-9 * scale
         for m, c in zip(sol.modes, sol.coefficients)
     )
 

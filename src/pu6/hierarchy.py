@@ -4,8 +4,9 @@ Three independent routes produce the same H_n:
 
 * ladder route: the first row of M^(n-1) applied to (H1, H2, H3), where M is
   the 3x3 matrix of the X5 action on the Hamiltonian triple;
-* closed-form route: frequency-polynomial coefficients from diagonalising M
-  (refused near degeneracy, where the denominators collapse);
+* closed-form route: the eigen-decomposition of M read off the frequency
+  pair table, k = sum over pairs of (2 m^(n-2) / den) (r^2 m, -r s, 1)
+  (refused for degenerate frequencies, where a block denominator den is 0);
 * recursion route: A_{n+1} = J2^{-1} J1 A_n, inverting one constant tensor.
 
 Linear combinations Jbar = c1 J1 + c2 J2 + c3 J3 and Hbar = c4 H1 + c5 H2 +
@@ -60,30 +61,14 @@ def hierarchy_coefficients(n: int, p: PUParams) -> np.ndarray:
 
 
 def _closed_coefficients(n: int, f: FrequencyTriple) -> np.ndarray:
-    """Frequency-polynomial weights of (H1,H2,H3) in H_n.
+    """Weights of (H1,H2,H3) in H_n: sum over pairs of (2 m^(n-2) / den) (r^2 m, -r s, 1).
 
-    The exponent bookkeeping is anchored so that n = 1, 2, 3 reproduce
-    H1, H2, H3 identically (equivalently, the weights equal the first row of
-    M^(n-1)); negative powers at small n are harmless for positive
-    frequencies.
+    m, s, r and den come from ``FrequencyTriple.pairs``.  n = 1, 2, 3
+    reproduce H1, H2, H3 identically (the weights equal the first row of
+    M^(n-1)); negative powers at small n are harmless for positive frequencies.
     """
-    a, b, c = f.squares
-    m = n - 2
-    d13 = (a - c) * (b - c)
-    d12 = (a - b) * (a - c)
-    d21 = (b - a) * (b - c)
-    k1 = (
-        c * c * (a * b) ** (m + 1) / d13
-        + a * a * (b * c) ** (m + 1) / d12
-        + b * b * (a * c) ** (m + 1) / d21
-    )
-    k2 = (
-        b * (a + c) * (a * c) ** m / ((a - b) * (b - c))
-        - c * (a + b) * (a * b) ** m / d13
-        - a * (b + c) * (b * c) ** m / d12
-    )
-    k3 = (a * b) ** m / d13 + (b * c) ** m / d12 - (a * c) ** m / ((a - b) * (b - c))
-    return np.array([k1, k2, k3])
+    m, s, r, den = f.pairs
+    return np.array([r * r * m, -r * s, np.ones(3)]) @ (2.0 * m ** (n - 2) / den)
 
 
 def hamiltonian_n_closed(n: int, p: PUParams) -> QuadraticForm:
@@ -99,12 +84,12 @@ def hamiltonian_n_closed(n: int, p: PUParams) -> QuadraticForm:
     return QuadraticForm(_weighted_sum(_closed_coefficients(n, f), hs))
 
 
-def _recursion(n: int, p: PUParams, check_tol: float = 1e-8) -> list[np.ndarray]:
+def _recursion(n: int, p: PUParams) -> list[np.ndarray]:
     """A_1..A_n by iterating A_{k+1} = J2^{-1} J1 A_k from A_1: one inversion, n - 1 steps.
 
     Each step checks that J2 A_{k+1} = J1 A_k holds and that the
-    pre-symmetrisation matrix is already symmetric (relative to its own
-    scale); a violation would mean the recursion structure is broken, not
+    pre-symmetrisation matrix is already symmetric, both within 1e-8 of their
+    own scale; a violation would mean the recursion structure is broken, not
     just rounded.
     """
     p.require_gamma()
@@ -115,20 +100,20 @@ def _recursion(n: int, p: PUParams, check_tol: float = 1e-8) -> list[np.ndarray]
         nxt = j2inv @ (j1 @ A)
         scale = np.abs(nxt).max()
         asym = np.abs(nxt - nxt.T).max()
-        if asym > check_tol * scale:
+        if asym > 1e-8 * scale:
             raise ArithmeticError(
                 f"recursion produced a non-symmetric form (asymmetry {asym:.3e}, scale {scale:.3e})"
             )
         nxt = 0.5 * (nxt + nxt.T)
         resid = np.abs(j2 @ nxt - j1 @ A).max()
-        if resid > check_tol * np.abs(j1 @ A).max():
+        if resid > 1e-8 * np.abs(j1 @ A).max():
             raise ArithmeticError(f"recursion residual {resid:.3e} exceeds tolerance")
         A = nxt
         chain.append(A)
     return chain
 
 
-def hamiltonian_n_recursive(n: int, p: PUParams, check_tol: float = 1e-8) -> QuadraticForm:
+def hamiltonian_n_recursive(n: int, p: PUParams) -> QuadraticForm:
     """H_n by iterating A_{k+1} = J2^{-1} J1 A_k from A_1, each step checked.
 
     The recursion runs on the canonical model of ``canonical_units`` and is
@@ -139,7 +124,7 @@ def hamiltonian_n_recursive(n: int, p: PUParams, check_tol: float = 1e-8) -> Qua
         raise ValueError(f"the hierarchy starts at n = 1, got {n}")
     rho, pc = canonical_units(p)
     k = np.arange(DIM)
-    return QuadraticForm(_recursion(n, pc, check_tol)[-1] * rho ** (4 * n + 2 - np.add.outer(k, k)))
+    return QuadraticForm(_recursion(n, pc)[-1] * rho ** (4 * n + 2 - np.add.outer(k, k)))
 
 
 @functools.lru_cache(maxsize=8)

@@ -7,6 +7,11 @@ block expansion is a diagonalisation in disguise: the combination is
 positive-definite exactly when all three block prefactors are positive
 (Sylvester's law), and the eigenvalue route is kept as an independent oracle
 for that criterion rather than a fallback.
+
+The blocks, the prefactors (c4 + c5 m + c6 m^2) / den, the tensor-weight
+polynomials c3 + c2 m + c1 m^2 and the block route of H_n all read the pair
+product m, pair sum s, remaining square r and block denominator den from
+the one pair table ``FrequencyTriple.pairs``, in ``PAIRS`` order.
 """
 from __future__ import annotations
 
@@ -18,6 +23,7 @@ import numpy as np
 
 from .core import (
     DIM,
+    PAIRS,
     FrequencyTriple,
     PUParams,
     QuadraticForm,
@@ -28,7 +34,6 @@ from .errors import ConfigError, DegenerateFrequencies, SingularCombination, con
 from .hierarchy import CombinationCoeffs, _tensor_duality, _weighted_sum
 from .hierarchy import coeffs_from_tensor  # noqa: F401  perfbench/tests checks its rebinding here
 
-_PAIRS = ((1, 2), (1, 3), (2, 3))  # unordered index pairs, 1-based frequency labels
 _EIG_REL_TOL = 1e-10  # eigenvalue rule: positive iff lambda_min > _EIG_REL_TOL * spectral norm
 
 
@@ -56,13 +61,11 @@ def _require_non_degenerate(f: FrequencyTriple) -> None:
         )
 
 
-def _pair_data(j: int, k: int, f: FrequencyTriple):
-    """(product, sum, remaining square) for the pair of squared frequencies."""
+def _pair_column(j: int, k: int, f: FrequencyTriple) -> list[float]:
+    """Column (m, s, r, den) of the pair table for the unordered pair {j, k}."""
     if j == k or not {j, k} <= {1, 2, 3}:
         raise ValueError(f"block indices must be two distinct labels from 1..3, got ({j},{k})")
-    sq = f.squares
-    i = ({1, 2, 3} - {j, k}).pop()
-    return sq[j - 1] * sq[k - 1], sq[j - 1] + sq[k - 1], sq[i - 1]
+    return f.pairs[:, PAIRS.index((min(j, k), max(j, k)))].tolist()
 
 
 def positive_block(j: int, k: int, f: FrequencyTriple) -> PositiveBlock:
@@ -72,7 +75,7 @@ def positive_block(j: int, k: int, f: FrequencyTriple) -> PositiveBlock:
     absorbs the factor 2 so that the 1/2-convention evaluation returns the
     full sum of squares.
     """
-    prod, ssum, wi2 = _pair_data(j, k, f)
+    prod, ssum, wi2, _ = _pair_column(j, k, f)
     u = np.zeros(DIM)
     u[1], u[3], u[5] = prod, ssum, 1.0
     v = np.zeros(DIM)
@@ -87,7 +90,7 @@ def block_symmetry_action(i: int, j: int, k: int, f: FrequencyTriple) -> float:
     X1..X3 annihilate every block, X4 fixes it, X5 scales by wj^2 wk^2 and
     X6 by wj^4 wk^4.
     """
-    prod, _, _ = _pair_data(j, k, f)
+    prod = _pair_column(j, k, f)[0]
     if i in (1, 2, 3):
         return 0.0
     if i == 4:
@@ -100,46 +103,31 @@ def block_symmetry_action(i: int, j: int, k: int, f: FrequencyTriple) -> float:
 
 
 def hamiltonian_n_blocks(n: int, f: FrequencyTriple) -> QuadraticForm:
-    """H_n expanded over the positive blocks (strictly non-degenerate only)."""
+    """H_n = sum over pairs of (m^(n-1) / den) B_jk (strictly non-degenerate only)."""
     if n < 1:
         raise ValueError(f"the hierarchy starts at n = 1, got {n}")
     _require_non_degenerate(f)
-    sq = f.squares
-    A = np.zeros((DIM, DIM))
-    for (j, k) in _PAIRS:
-        i = ({1, 2, 3} - {j, k}).pop()
-        prod = sq[j - 1] * sq[k - 1]
-        coeff = prod ** (n - 1) / (2.0 * (sq[i - 1] - sq[j - 1]) * (sq[i - 1] - sq[k - 1]))
-        A = A + coeff * positive_block(j, k, f).form.matrix
-    return QuadraticForm(A)
-
-
-def _pair_table(f: FrequencyTriple) -> np.ndarray:
-    """Rows m, m**2 and 2 (wj^2-wi^2)(wk^2-wi^2) over the pairs, m the pair product of squares."""
-    _require_non_degenerate(f)
-    sq = f.squares
-    rows = []
-    for (j, k) in _PAIRS:
-        m, _, wi2 = _pair_data(j, k, f)
-        rows.append((m, m ** 2, 2.0 * (sq[j - 1] - wi2) * (sq[k - 1] - wi2)))
-    return np.array(rows).T
+    m, _, _, den = f.pairs
+    blocks = [positive_block(j, k, f).form.matrix for j, k in PAIRS]
+    return QuadraticForm(_weighted_sum(m ** (n - 1) / den, blocks))
 
 
 def hbar_prefactors(c4, c5, c6, f: FrequencyTriple) -> np.ndarray:
-    """Block weights of Hbar = c4 H1 + c5 H2 + c6 H3, in pair order (1,2), (1,3), (2,3).
+    """Block weights of Hbar = c4 H1 + c5 H2 + c6 H3, in ``PAIRS`` order.
 
     The weights satisfy sum_jk prefactor_jk * B_jk = Hbar as forms; each one
-    is (c4 + c5 m + c6 m^2) / (2 (wj^2-wi^2)(wk^2-wi^2)) with m the pair
-    product of squared frequencies.  Stacked weights give stacked results,
-    with a trailing axis of 3.
+    is (c4 + c5 m + c6 m^2) / den with m and den the pair product and block
+    denominator of ``FrequencyTriple.pairs``.  Stacked weights give stacked
+    results, with a trailing axis of 3.
     """
-    m, _, den = _pair_table(f)
+    _require_non_degenerate(f)
+    m, _, _, den = f.pairs
     c4, c5, c6 = (np.asarray(c)[..., None] for c in (c4, c5, c6))
     return (c4 + c5 * m + c6 * m * m) / den
 
 
 def tensor_weight_polynomials(c1, c2, c3, f: FrequencyTriple) -> np.ndarray:
-    """P_jk = c3 + c2 m + c1 m^2 at the three pair products, order (1,2), (1,3), (2,3).
+    """P_jk = c3 + c2 m + c1 m^2 at the three pair products, in ``PAIRS`` order.
 
     The sign of the block prefactor equals sign(P_jk) / sign of the pair
     denominator, so for a descending triple positivity reads
@@ -148,9 +136,10 @@ def tensor_weight_polynomials(c1, c2, c3, f: FrequencyTriple) -> np.ndarray:
     realise that sign pattern.  Stacked weights give stacked results, with a
     trailing axis of 3.
     """
-    m, m2, _ = _pair_table(f)
+    _require_non_degenerate(f)
+    m = f.pairs[0]
     c1, c2, c3 = (np.asarray(c)[..., None] for c in (c1, c2, c3))
-    return c3 + c2 * m + c1 * m2
+    return c3 + c2 * m + c1 * m ** 2
 
 
 def _polynomial_vanishes(poly: np.ndarray):

@@ -27,6 +27,7 @@ import numpy as np
 
 from .core import (
     DIM,
+    PAIRS,
     PUParams,
     QuadraticForm,
     _model_matrices,
@@ -69,6 +70,12 @@ class Rep3DParams:
     a: tuple[float, float, float]
     b: tuple[float, float, float]
     g: tuple[float, float, float]  # (g1, g2, g3) coupling xy, xz, yz
+
+    @property
+    def stiffness(self) -> np.ndarray:
+        """K = diag(b) plus the couplings: the symmetric 3x3 matrix of the potential."""
+        (b1, b2, b3), (g1, g2, g3) = self.b, self.g
+        return np.array([[b1, g1, g2], [g1, b2, g3], [g2, g3, b3]])
 
 
 @dataclass(frozen=True)
@@ -147,11 +154,12 @@ def _build_ta2(p: PUParams, choices: dict) -> Representation:
         )
     if any(v == 0.0 for v in a):
         raise ZeroKinetic(f"kinetic coefficients must be nonzero, got {a}")
-    sq = f.squares
+    m, s, r, _ = f.pairs.tolist()
     rows, b = [], []
-    for ax, (i, j, k) in zip(a, perms):
-        rows.append((sq[i - 1] * sq[j - 1] / ax, (sq[i - 1] + sq[j - 1]) / ax, 1.0 / ax))
-        b.append(ax * sq[k - 1])
+    for ax, row in zip(a, perms):
+        col = PAIRS.index(tuple(sorted(row[:2])))  # the pair the row does not own
+        rows.append((m[col] / ax, s[col] / ax, 1.0 / ax))
+        b.append(ax * r[col])
     return Representation(
         kind="Ta2",
         params3d=Rep3DParams(a=a, b=tuple(b), g=(0.0, 0.0, 0.0)),
@@ -342,11 +350,9 @@ def second_order_residual(r: Representation, x, y, z, xdd, ydd, zdd) -> np.ndarr
     Scalar arguments give three residuals; equal-length arrays give a
     (3, n) residual array.
     """
-    a, b, g = r.params3d.a, r.params3d.b, r.params3d.g
     pos = np.asarray([x, y, z], dtype=float)
     acc = np.asarray([xdd, ydd, zdd], dtype=float)
-    G = np.array([[0.0, g[0], g[1]], [g[0], 0.0, g[2]], [g[1], g[2], 0.0]])
-    return (acc.T * np.asarray(a)).T + (pos.T * np.asarray(b)).T + G @ pos
+    return (acc.T * np.asarray(r.params3d.a)).T + r.params3d.stiffness @ pos
 
 
 def _substitution(r: Representation, part) -> np.ndarray:
@@ -355,11 +361,10 @@ def _substitution(r: Representation, part) -> np.ndarray:
     Every factor passes through ``part`` first: ``np.asarray`` gives the
     coefficients, ``np.abs`` the size of the terms summed into each one.
     """
-    a, b, g = r.params3d.a, r.params3d.b, r.params3d.g
-    K = part(np.array([[b[0], g[0], g[1]], [g[0], b[1], g[2]], [g[1], g[2], b[2]]]))
+    K = part(r.params3d.stiffness)
     x = np.zeros((3, 4))
     x[:, :3] = part(r.projection.matrix[:, 0::2])  # x_j = mu0 q + mu2 q'' + mu4 q''''
-    return part(np.asarray(a))[:, None] * np.roll(x, 1, axis=1) + K @ x
+    return part(np.asarray(r.params3d.a))[:, None] * np.roll(x, 1, axis=1) + K @ x
 
 
 def _equation_weight_vectors(r: Representation, p: PUParams) -> np.ndarray:
@@ -373,13 +378,7 @@ def _equation_weight_vectors(r: Representation, p: PUParams) -> np.ndarray:
     return _substitution(r, np.asarray)
 
 
-def equivalence_check(
-    r: Representation,
-    p: PUParams,
-    trajectory=None,
-    tol: float = 1e-9,
-    traj_tol: float = 1e-7,
-) -> EquivalenceReport:
+def equivalence_check(r: Representation, p: PUParams, trajectory=None) -> EquivalenceReport:
     """Classify each second-order equation and verify the family's pattern.
 
     Classification is a matrix identity on the weight vectors (so "trivially
@@ -388,8 +387,9 @@ def equivalence_check(
     well.  A mismatch with the family's declared pattern raises.
 
     The weights are judged in the canonical units of ``canonical_units``,
-    each against the size of the terms summed into it, so the structural
-    residuals are canonical too.
+    each within 1e-9 of the size of the terms summed into it, so the
+    structural residuals are canonical too; trajectory residuals must stay
+    within 1e-7 of the orbit's scale.
     """
     rho, pc = canonical_units(p)
     unit = rho ** np.array([-6.0, -4.0, -2.0, 0.0])  # the q^(2k) weight carries rho^(6-2k)
@@ -400,13 +400,13 @@ def equivalence_check(
     for i in range(3):
         w = W[i]
         scale = float(terms[i].max())
-        if np.abs(w).max() <= tol * scale:
+        if np.abs(w).max() <= 1e-9 * scale:
             pattern.append("trivial")
             resids.append(float(np.abs(w).max()))
             continue
         lam = w[3]
         mismatch = float(np.abs(w - lam * target).max())
-        if abs(lam) > tol * scale and mismatch <= tol * scale:
+        if abs(lam) > 1e-9 * scale and mismatch <= 1e-9 * scale:
             pattern.append("PU")
             resids.append(mismatch)
         else:
@@ -433,7 +433,7 @@ def equivalence_check(
         scale = max(1.0, float(np.abs(pos).max()), float(np.abs(acc).max()))
         traj_resids = tuple(float(res[i].max()) for i in range(3))
         worst = int(np.argmax(traj_resids))
-        if traj_resids[worst] > traj_tol * scale:
+        if traj_resids[worst] > 1e-7 * scale:
             raise EquivalenceFailure(worst, traj_resids[worst], "trajectory residual too large")
     return EquivalenceReport(tuple(pattern), tuple(resids), traj_resids)
 
@@ -443,16 +443,12 @@ def legendre_hamiltonian(r: Representation) -> QuadraticForm:
 
     H = sum p_i^2 / (2 a_i) + sum b_i x_i^2 / 2 + g1 xy + g2 xz + g3 yz.
     """
-    a, b, g = r.params3d.a, r.params3d.b, r.params3d.g
+    a = r.params3d.a
     if any(v == 0.0 for v in a):
         raise ZeroKinetic(f"Legendre transform undefined for kinetic coefficients {a}")
     A = np.zeros((DIM, DIM))
-    for i in range(3):
-        A[3 + i, 3 + i] = 1.0 / a[i]
-        A[i, i] = b[i]
-    A[0, 1] = A[1, 0] = g[0]
-    A[0, 2] = A[2, 0] = g[1]
-    A[1, 2] = A[2, 1] = g[2]
+    A[:3, :3] = r.params3d.stiffness
+    A[3:, 3:] = np.diag(1.0 / np.asarray(a))
     return QuadraticForm(A)
 
 

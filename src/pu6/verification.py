@@ -1,8 +1,11 @@
 """Named machine-checkable invariants, shared by the CLI and the test suite.
 
 Each check returns a residual and a pass/fail/skip status; skips carry the
-reason (degenerate frequencies exclude the closed-form and block routes,
-gamma = 0 excludes everything built on the second and third tensors).
+reason (degenerate frequencies exclude the block checks, gamma = 0 excludes
+everything built on the second and third tensors).  ``hierarchy_routes``
+compares the recursion with the ladder route for every gamma != 0, and with
+the closed-form and block routes too when the frequencies are real and
+distinct.
 """
 from __future__ import annotations
 
@@ -138,17 +141,18 @@ def run_invariant_suite(
     else:
         try:
             recs = [core.QuadraticForm(a) for a in hierarchy._recursion(10, p)]
-            if degenerate or freqs is None:
-                results.append(
-                    _skip("hierarchy_routes", "degenerate or non-oscillatory: closed/block routes refused")
-                )
-            else:
-                routes = ((hierarchy.hamiltonian_n_closed, p), (positivity.hamiltonian_n_blocks, freqs))
-                rel = max(
-                    _rel(rec.matrix - route(n, q).matrix, rec.matrix)
-                    for n, rec in enumerate(recs, start=1) for route, q in routes
-                )
-                results.append(_result("hierarchy_routes", rel, 1e-7, "n = 1..10, three routes"))
+            routes = {"ladder": lambda n: hierarchy._weighted_sum(
+                hierarchy.hierarchy_coefficients(n, p), [h.matrix for h in hs])}
+            if freqs is not None and not degenerate:
+                routes["closed"] = lambda n: hierarchy.hamiltonian_n_closed(n, p).matrix
+                routes["block"] = lambda n: positivity.hamiltonian_n_blocks(n, freqs).matrix
+            rel = max(
+                _rel(rec.matrix - route(n), rec.matrix)
+                for n, rec in enumerate(recs, start=1) for route in routes.values()
+            )
+            results.append(_result(
+                "hierarchy_routes", rel, 1e-7, f"n = 1..10, recursion vs {'/'.join(routes)}"
+            ))
             resid = max(_rel(r.matrix @ F + F.T @ r.matrix, r.matrix @ F) for r in recs)
             results.append(_result("hierarchy_conservation", resid, 1e-8, "symmetric part of A_n F"))
             resid = max(
@@ -167,7 +171,7 @@ def run_invariant_suite(
         results.append(_skip("expansion_exactness", "needs three distinct real frequencies"))
     else:
         al, be, ga = p.alpha, p.beta, p.gamma
-        blocks = {jk: positivity.positive_block(*jk, freqs) for jk in ((1, 2), (1, 3), (2, 3))}
+        blocks = {jk: positivity.positive_block(*jk, freqs) for jk in core.PAIRS}
         lhs = sum(b.form.matrix for b in blocks.values())
         rhs = 2.0 * (
             (al * al - 2.0 * be) * hs[0].matrix
@@ -199,7 +203,7 @@ def run_invariant_suite(
         for _ in range(50):
             c4, c5, c6 = rng.normal(size=3)
             pref = positivity.hbar_prefactors(c4, c5, c6, freqs)
-            lhs = sum(w * blocks[jk].form.matrix for w, jk in zip(pref, ((1, 2), (1, 3), (2, 3))))
+            lhs = sum(w * b.form.matrix for w, b in zip(pref, blocks.values()))
             rhs = c4 * hs[0].matrix + c5 * hs[1].matrix + c6 * hs[2].matrix
             worst = max(worst, np.abs(lhs - rhs).max() / max(1e-300, np.abs(rhs).max()))
         results.append(_result("expansion_exactness", worst, 1e-8, "50 random draws"))

@@ -116,7 +116,7 @@ def test_verify_degenerate_skips(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     statuses = {c["name"]: c["status"] for c in report["checks"]}
-    assert statuses["hierarchy_routes"] == "skip"
+    assert statuses["hierarchy_routes"] == "pass"
     assert statuses["block_identity"] == "skip"
     assert all(s in ("pass", "skip") for s in statuses.values())
 

@@ -43,6 +43,19 @@ def test_frequencies_fully_degenerate():
     assert f.degeneracy is pu6.Degeneracy.FULLY_DEGENERATE
 
 
+@pytest.mark.parametrize("lam", [1e-3, 5e-3, 1e-2, 1.0, 1e2])
+@pytest.mark.parametrize("ws", [(1.1, 1, 1), (1.01, 1, 1), (1, 1, 1), (2, 1, 1), (2, 2, 1)])
+def test_frequencies_from_params_keeps_class_at_any_scale(ws, lam):
+    # the triple-root test is relative, so small frequencies are not called fully degenerate
+    f = pu6.frequency_triple(*(lam * w for w in ws))
+    p = pu6.params_from_frequencies(f)
+    back = pu6.frequencies_from_params(p)
+    assert back.degeneracy is f.degeneracy
+    rt = pu6.params_from_frequencies(back)
+    for a, b in zip((rt.alpha, rt.beta, rt.gamma), (p.alpha, p.beta, p.gamma)):
+        assert abs(a - b) <= 1e-12 * abs(b)
+
+
 def test_frequencies_complex_regime():
     with pytest.raises(pu6.ComplexFrequencies):
         pu6.frequencies_from_params(pu6.PUParams(0.0, 0.0, 1.0))
@@ -59,6 +72,17 @@ def test_roundtrip_params_frequencies(ws):
     rt = pu6.params_from_frequencies(back)
     for a, b in zip((rt.alpha, rt.beta, rt.gamma), (p.alpha, p.beta, p.gamma)):
         assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
+
+
+def test_pair_table():
+    # squares (9, 4, 1); columns (1,2), (1,3), (2,3)
+    m, s, r, den = pu6.frequency_triple(3, 2, 1).pairs
+    assert m.tolist() == [36.0, 9.0, 4.0]
+    assert s.tolist() == [13.0, 10.0, 5.0]
+    assert r.tolist() == [1.0, 4.0, 9.0]
+    assert den.tolist() == [48.0, -30.0, 80.0]
+    # a degenerate triple gets a zero denominator, not an error
+    assert pu6.frequency_triple(2, 2, 1).pairs[3].tolist() == [18.0, 0.0, 0.0]
 
 
 def test_frequency_triple_sorted_and_positive():
