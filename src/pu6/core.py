@@ -377,6 +377,12 @@ def _model_matrices(p: PUParams):
     return js, hs, F
 
 
+def _bracket_matrix(a: np.ndarray, j: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix of ``poisson_bracket``: a j b plus its transpose, for stacked (..., 6, 6) operands."""
+    m = a @ j @ b
+    return m + np.swapaxes(m, -1, -2)
+
+
 def poisson_bracket(f: QuadraticForm, g: QuadraticForm, j: PoissonTensor) -> QuadraticForm:
     """Bracket {f,g}(q) = (grad f)^T J (grad g) as a quadratic form.
 
@@ -384,8 +390,7 @@ def poisson_bracket(f: QuadraticForm, g: QuadraticForm, j: PoissonTensor) -> Qua
     result at q (with the 1/2 convention) equals the bracket value; it is the
     zero form iff f and g are in involution under j.
     """
-    m = f.matrix @ j.matrix @ g.matrix
-    return QuadraticForm(m + m.T)
+    return QuadraticForm(_bracket_matrix(f.matrix, j.matrix, g.matrix))
 
 
 def ostrogradsky_map(s, p: PUParams) -> CanonicalState:

@@ -60,15 +60,17 @@ def hierarchy_coefficients(n: int, p: PUParams) -> np.ndarray:
     return np.linalg.matrix_power(m, n - 1)[0]
 
 
-def _closed_coefficients(n: int, f: FrequencyTriple) -> np.ndarray:
+def _closed_coefficients(n, f: FrequencyTriple) -> np.ndarray:
     """Weights of (H1,H2,H3) in H_n: sum over pairs of (2 m^(n-2) / den) (r^2 m, -r s, 1).
 
     m, s, r and den come from ``FrequencyTriple.pairs``.  n = 1, 2, 3
     reproduce H1, H2, H3 identically (the weights equal the first row of
     M^(n-1)); negative powers at small n are harmless for positive frequencies.
+    Stacked n gives stacked weights, with a trailing axis of 3.
     """
     m, s, r, den = f.pairs
-    return np.array([r * r * m, -r * s, np.ones(3)]) @ (2.0 * m ** (n - 2) / den)
+    weights = 2.0 * m ** (np.asarray(n)[..., None] - 2) / den
+    return weights @ np.array([r * r * m, -r * s, np.ones(3)]).T
 
 
 def hamiltonian_n_closed(n: int, p: PUParams) -> QuadraticForm:

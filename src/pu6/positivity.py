@@ -107,9 +107,14 @@ def hamiltonian_n_blocks(n: int, f: FrequencyTriple) -> QuadraticForm:
     if n < 1:
         raise ValueError(f"the hierarchy starts at n = 1, got {n}")
     _require_non_degenerate(f)
-    m, _, _, den = f.pairs
     blocks = [positive_block(j, k, f).form.matrix for j, k in PAIRS]
-    return QuadraticForm(_weighted_sum(m ** (n - 1) / den, blocks))
+    return QuadraticForm(_weighted_sum(_block_weights(n, f), blocks))
+
+
+def _block_weights(n, f: FrequencyTriple) -> np.ndarray:
+    """Weights m^(n-1) / den of the blocks in H_n; stacked n gives a trailing axis of 3."""
+    m, _, _, den = f.pairs
+    return m ** (np.asarray(n)[..., None] - 1) / den
 
 
 def hbar_prefactors(c4, c5, c6, f: FrequencyTriple) -> np.ndarray:

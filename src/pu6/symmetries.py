@@ -89,5 +89,10 @@ def symmetry_action_on_form(x: np.ndarray, h: QuadraticForm) -> QuadraticForm:
     orientation is pinned by the identity X5(H1) = H2, which it reproduces
     exactly, and every other table entry is then a check rather than a choice.
     """
-    A = h.matrix
-    return QuadraticForm(x.T @ A + A @ x)
+    return QuadraticForm(_action_matrix(x, h.matrix))
+
+
+def _action_matrix(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Symmetrised X^T A + A X for stacked (..., 6, 6) operands: the matrix of X(H)."""
+    m = np.swapaxes(x, -1, -2) @ a + a @ x
+    return 0.5 * (m + np.swapaxes(m, -1, -2))

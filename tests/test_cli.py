@@ -2,10 +2,20 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 import pu6
 from pu6 import cli
+
+# every verify report lists these checks, in this order
+VERIFY_CHECKS = (
+    "poisson_antisymmetry", "poisson_determinants", "flow_equality", "poisson_field_condition",
+    "involution_base", "abelian_algebra", "action_table", "flow_symmetries", "hierarchy_routes",
+    "hierarchy_conservation", "hierarchy_involution", "block_identity", "block_psd_rank",
+    "block_symmetry_scalars", "expansion_exactness", "dual_flow_recovery",
+    "ostrogradsky_consistency", "frequency_roundtrip",
+)
 
 
 def _write(tmp_path, name, obj):
@@ -105,6 +115,7 @@ def test_verify_standard_model(tmp_path):
     code = cli.main(["--config", _write(tmp_path, "c.json", _model321()), "--out", str(out), "verify"])
     assert code == 0
     report = json.loads(out.read_text())
+    assert tuple(c["name"] for c in report["checks"]) == VERIFY_CHECKS
     assert report["all_passed"] is True
     assert all(c["status"] == "pass" for c in report["checks"])
 
@@ -115,6 +126,7 @@ def test_verify_degenerate_skips(tmp_path):
     code = cli.main(["--config", _write(tmp_path, "c.json", cfg), "--out", str(out), "verify"])
     assert code == 0
     report = json.loads(out.read_text())
+    assert tuple(c["name"] for c in report["checks"]) == VERIFY_CHECKS
     statuses = {c["name"]: c["status"] for c in report["checks"]}
     assert statuses["hierarchy_routes"] == "pass"
     assert statuses["block_identity"] == "skip"
@@ -127,6 +139,7 @@ def test_verify_gamma_zero_fails(tmp_path):
     code = cli.main(["--config", _write(tmp_path, "c.json", cfg), "--out", str(out), "verify"])
     assert code == 1
     report = json.loads(out.read_text())
+    assert tuple(c["name"] for c in report["checks"]) == VERIFY_CHECKS
     failing = [c for c in report["checks"] if c["status"] == "fail"]
     assert failing
     assert any("GammaZero" in c["detail"] for c in failing)
@@ -143,6 +156,74 @@ def test_verify_reports_exhausted_dual_draws(tmp_path, monkeypatch):
     statuses = {c["name"]: c["status"] for c in json.loads(out.read_text())["checks"]}
     assert statuses.pop("dual_flow_recovery") == "fail"
     assert set(statuses.values()) == {"pass"}
+
+
+def test_verify_reports_every_check_when_the_recursion_fails(tmp_path, monkeypatch):
+    def broken(n, p):
+        raise ArithmeticError("forced recursion failure")
+
+    monkeypatch.setattr(pu6.hierarchy, "_recursion", broken)
+    out = tmp_path / "report.json"
+    cfg = _write(tmp_path, "c.json", _model321())
+    assert cli.main(["--config", cfg, "--out", str(out), "verify"]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert tuple(c["name"] for c in checks) == VERIFY_CHECKS
+    failing = {c["name"]: c["detail"] for c in checks if c["status"] == "fail"}
+    hierarchy_checks = ("hierarchy_routes", "hierarchy_conservation", "hierarchy_involution")
+    assert failing == dict.fromkeys(hierarchy_checks, "forced recursion failure")
+
+
+def test_verify_solves_the_cubic_once(monkeypatch):
+    calls = []
+
+    def counted(solve):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+        return wrapper
+
+    for module in (pu6.verification, pu6.hierarchy):
+        solve = module.frequencies_from_params
+        monkeypatch.setattr(module, "frequencies_from_params", counted(solve))
+    pu6.run_invariant_suite(pu6.PUParams(14.0, 49.0, 36.0))
+    assert len(calls) == 1
+
+
+def _largest_entry_scaled(routine, index):
+    """``routine`` with the largest entry of its ``index``-th matrix scaled by 1 + 1e-8.
+
+    A Poisson tensor gets the mirrored entry scaled too, so it stays antisymmetric.
+    """
+    def broken(i, p):
+        out = routine(i, p)
+        if i != index:
+            return out
+        m = np.array(getattr(out, "matrix", out))
+        k = np.unravel_index(np.abs(m).argmax(), m.shape)
+        m[k] *= 1.0 + 1e-8
+        if isinstance(out, pu6.PoissonTensor):
+            m[k[::-1]] *= 1.0 + 1e-8
+            return pu6.PoissonTensor(m, out.tag)
+        return m
+    return broken
+
+
+@pytest.mark.parametrize(
+    "module, routine, index, failing",
+    [
+        (pu6.core, "poisson_tensor", 2, {"flow_equality", "poisson_field_condition"}),
+        (pu6.symmetries, "lie_generator", 5, {"abelian_algebra", "flow_symmetries"}),
+    ],
+)
+def test_verify_fails_on_a_slightly_broken_routine(monkeypatch, module, routine, index, failing):
+    # the model-matrix cache would carry a broken J2 into other tests
+    pu6.core._model_matrices.cache_clear()
+    monkeypatch.setattr(module, routine, _largest_entry_scaled(getattr(module, routine), index))
+    try:
+        results = pu6.run_invariant_suite(pu6.PUParams(14.0, 49.0, 36.0))
+    finally:
+        pu6.core._model_matrices.cache_clear()
+    assert failing <= {r.name for r in results if r.status == "fail"}
 
 
 def test_verify_deterministic_with_seed(tmp_path):

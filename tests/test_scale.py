@@ -11,6 +11,7 @@ import pytest
 
 import pu6
 from pu6 import cli
+from test_cli import VERIFY_CHECKS
 
 SCALES = (1e-2, 1e-1, 1.0, 10.0, 100.0)
 
@@ -45,6 +46,7 @@ def test_verify_statuses_scale_invariant(tmp_path, omegas):
     for lam in SCALES:
         code, report = _run(tmp_path, "verify", [lam * w for w in omegas])
         statuses[lam] = [(c["name"], c["status"]) for c in report["checks"]]
+        assert tuple(name for name, _ in statuses[lam]) == VERIFY_CHECKS, lam
         assert code == 0 and ("fail" not in dict(statuses[lam]).values()), (lam, statuses[lam])
     for lam in SCALES:
         assert statuses[lam] == statuses[1.0], lam
