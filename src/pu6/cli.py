@@ -72,10 +72,9 @@ class RunConfig:
 
     @property
     def frequencies(self):
-        tol = self.tol if self.tol is not None else 1e-9
         if self.omegas is not None:
-            return frequency_triple(*self.omegas, tol=tol)
-        return frequencies_from_params(self.params, tol=tol)
+            return frequency_triple(*self.omegas, tol=self.tol)
+        return frequencies_from_params(self.params, tol=self.tol)
 
 
 def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig:
@@ -272,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument("--seed", type=int, default=default, help="seed for random draws")
         parser.add_argument(
             "--tol", type=float, default=default,
-            help="degeneracy-classification tolerance override",
+            help="relative degeneracy tolerance override",
         )
 
     ap = argparse.ArgumentParser(

@@ -17,6 +17,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -31,11 +32,21 @@ Q, QD, QDD, Q3T, Q4T, Q5T = range(6)
 # the columns of FrequencyTriple.pairs and every per-pair result follow this order
 PAIRS = ((1, 2), (1, 3), (2, 3))
 
+# relative gap of squared frequencies under which a pair is degenerate
+DEGENERACY_TOL = 1e-9
+
+_EPS = float(np.finfo(float).eps)
+
 
 class Degeneracy(enum.Enum):
     NON_DEGENERATE = "non_degenerate"
     PARTIALLY_DEGENERATE = "partially_degenerate"
     FULLY_DEGENERATE = "fully_degenerate"
+
+
+# the clusters of the descending roots that ``_classified`` tests, in order
+_CLUSTERS = (((0, 1, 2), Degeneracy.FULLY_DEGENERATE), ((0, 1), Degeneracy.PARTIALLY_DEGENERATE),
+             ((1, 2), Degeneracy.PARTIALLY_DEGENERATE))
 
 
 @dataclass(frozen=True)
@@ -55,13 +66,13 @@ class PUParams:
 class FrequencyTriple:
     """Angular frequencies, stored sorted descending, with a degeneracy class.
 
-    Degeneracy is decided on the squared frequencies: the triple is
-    non-degenerate iff every pairwise |w_i^2 - w_j^2| exceeds ``tol``.
+    Build it with ``frequency_triple`` or ``frequencies_from_params``: both
+    classify the squared frequencies by ``_classified`` and store every
+    degenerate cluster as one value, so repeated frequencies compare equal.
     """
 
     omegas: tuple[float, float, float]
     degeneracy: Degeneracy
-    tol: float = 1e-9
 
     @property
     def squares(self) -> tuple[float, float, float]:
@@ -89,19 +100,13 @@ class FrequencyTriple:
         return self.degeneracy is not Degeneracy.NON_DEGENERATE
 
 
-def frequency_triple(w1: float, w2: float, w3: float, tol: float = 1e-9) -> FrequencyTriple:
-    """Sort the frequencies descending and classify their degeneracy."""
+def frequency_triple(w1: float, w2: float, w3: float, tol: Optional[float] = None) -> FrequencyTriple:
+    """Sort the frequencies descending and classify their squares as ``frequencies_from_params`` does."""
     ws = sorted((float(w1), float(w2), float(w3)), reverse=True)
     if ws[2] <= 0.0 or not all(np.isfinite(ws)):
         raise ComplexFrequencies(f"frequencies must be positive reals, got {ws}")
     sq = [w * w for w in ws]
-    if sq[0] - sq[2] <= tol:
-        deg = Degeneracy.FULLY_DEGENERATE
-    elif sq[0] - sq[1] <= tol or sq[1] - sq[2] <= tol:
-        deg = Degeneracy.PARTIALLY_DEGENERATE
-    else:
-        deg = Degeneracy.NON_DEGENERATE
-    return FrequencyTriple((ws[0], ws[1], ws[2]), deg, tol)
+    return _classified(sq, _cubic(*sq), tol)
 
 
 def as_state(q) -> np.ndarray:
@@ -167,70 +172,66 @@ class CanonicalState:
 
 def params_from_frequencies(f: FrequencyTriple) -> PUParams:
     """Elementary symmetric polynomials of the squared frequencies."""
-    a, b, c = f.squares
+    return _cubic(*f.squares)
+
+
+def _cubic(a: float, b: float, c: float) -> PUParams:
     return PUParams(alpha=a + b + c, beta=a * b + a * c + b * c, gamma=a * b * c)
 
 
-def frequencies_from_params(p: PUParams, tol: float = 1e-9) -> FrequencyTriple:
+def frequencies_from_params(p: PUParams, tol: Optional[float] = None) -> FrequencyTriple:
     """Invert the parametrisation: roots of x^3 - alpha x^2 + beta x - gamma.
 
-    Roots are found as eigenvalues of the 3x3 companion matrix; they are
-    accepted as real when |Im| < 1e-9 (1 + |Re|).  Non-real or non-positive
-    roots mean the model is outside the oscillatory regime.
-
-    Repeated roots split under eigensolver noise far beyond machine epsilon,
-    so degeneracy is classified from the cubic's discriminant (the product of
-    squared root gaps, a polynomial in the coefficients) rather than from the
-    computed gaps; clusters detected this way are averaged before the square
-    root so degenerate mode bases stay clean.
+    The roots are the eigenvalues of the 3x3 companion matrix, classified
+    by ``_classified``.  Non-real or non-positive roots mean the model is
+    outside the oscillatory regime.
     """
-    al, be, ga = p.alpha, p.beta, p.gamma
-    disc_terms = (18.0 * al * be * ga, -4.0 * al ** 3 * ga, al * al * be * be,
-                  -4.0 * be ** 3, -27.0 * ga * ga)
-    disc = sum(disc_terms)
-    disc_scale = max(1e-300, max(abs(t) for t in disc_terms))
-    triple_resid = abs(al * al - 3.0 * be)
+    comp = np.array([[0.0, 0.0, p.gamma], [1.0, 0.0, -p.beta], [0.0, 1.0, p.alpha]])
+    return _classified(np.linalg.eigvals(comp), p, tol)
 
-    if abs(disc) <= 1e-12 * disc_scale and triple_resid <= 1e-10 * max(al * al, 3.0 * abs(be)):
-        lam0 = al / 3.0
-        if lam0 <= 0.0:
-            raise ComplexFrequencies(f"triple root {lam0} of the cubic of {p} is not positive")
-        lam = np.array([lam0, lam0, lam0])
-        deg = Degeneracy.FULLY_DEGENERATE
-    elif abs(disc) <= 1e-12 * disc_scale:
-        # a double root is a common root of the cubic and its derivative
-        inner = al * al - 3.0 * be
-        if inner < 0.0:
-            raise ComplexFrequencies(f"characteristic cubic of {p} has complex roots")
-        cands = [(al + s * np.sqrt(inner)) / 3.0 for s in (+1.0, -1.0)]
-        cubic = lambda x: ((x - al) * x + be) * x - ga
-        lam_d = min(cands, key=lambda x: abs(cubic(x)))
-        lam_s = al - 2.0 * lam_d
-        if lam_d <= 0.0 or lam_s <= 0.0:
-            raise ComplexFrequencies(f"characteristic cubic of {p} has non-positive roots")
-        lam = np.sort(np.array([lam_d, lam_d, lam_s]))[::-1]
-        deg = Degeneracy.PARTIALLY_DEGENERATE
+
+def _classified(roots, p: PUParams, tol: Optional[float]) -> FrequencyTriple:
+    """The frequency triple of ``roots``, the roots of p's cubic, by one rule per cluster.
+
+    Sorted by real part, a cluster (the triple, then each adjacent pair) is
+    degenerate when its largest gap g (a complex modulus, so a double root
+    split into a conjugate pair counts) is within ``tol`` (default
+    ``DEGENERACY_TOL``) of its mean m, or within the split that rounding
+    the cubic by 64 eps S(m) causes (Wilkinson), S(x) the product of
+    |x| + |root|: g^3 <= 64 eps S(m) for the triple, g^2 |m - b| <= 64 eps S(m)
+    for a pair with third root b.  A cluster of unequal roots becomes the
+    multiple root, a root of a derivative of the cubic: alpha/3, or for a
+    pair the critical point d on its side, the third root then alpha - 2 d.
+    Unclustered roots must be real, and every root positive.
+    """
+    tol = DEGENERACY_TOL if tol is None else tol
+    lam = sorted(map(complex, np.ravel(roots)), key=lambda z: -z.real)
+    scale = max(map(abs, lam)) or 1.0
+    x = [z / scale for z in lam]  # the tests are scale-free; this keeps them finite
+    for cluster, deg in _CLUSTERS:
+        m = sum(x[k].real for k in cluster) / len(cluster)
+        gap = max(abs(x[j] - x[k]) for j in cluster for k in cluster if j < k)
+        rest = math.prod(abs(m - x[k]) for k in range(3) if k not in cluster)
+        if gap ** len(cluster) * rest <= 64.0 * _EPS * math.prod(abs(m) + abs(z) for z in x) \
+                or gap <= tol * abs(m):
+            break
     else:
-        comp = np.array([[0.0, 0.0, ga], [1.0, 0.0, -be], [0.0, 1.0, al]])
-        roots = np.linalg.eigvals(comp)
-        if np.any(np.abs(roots.imag) >= 1e-9 * (1.0 + np.abs(roots.real))):
-            raise ComplexFrequencies(f"characteristic cubic of {p} has complex roots {roots}")
-        lam = np.sort(roots.real)[::-1]
-        if lam[2] <= 0.0:
-            raise ComplexFrequencies(f"characteristic cubic of {p} has non-positive root {lam[2]}")
-        if lam[0] - lam[2] <= tol:
-            lam[:] = lam.mean()
-            deg = Degeneracy.FULLY_DEGENERATE
-        elif lam[0] - lam[1] <= tol:
-            lam[0] = lam[1] = 0.5 * (lam[0] + lam[1])
-            deg = Degeneracy.PARTIALLY_DEGENERATE
-        elif lam[1] - lam[2] <= tol:
-            lam[1] = lam[2] = 0.5 * (lam[1] + lam[2])
-            deg = Degeneracy.PARTIALLY_DEGENERATE
+        cluster, deg = (), Degeneracy.NON_DEGENERATE
+    sq, al = [z.real for z in lam], p.alpha
+    if len({lam[k] for k in cluster}) > 1:
+        if len(cluster) == 3:
+            sq = [al / 3.0] * 3
         else:
-            deg = Degeneracy.NON_DEGENERATE
-    w = np.sqrt(lam)
-    return FrequencyTriple((float(w[0]), float(w[1]), float(w[2])), deg, tol)
+            side = 1.0 if cluster == (0, 1) else -1.0
+            d = (al + side * math.sqrt(max(al * al - 3.0 * p.beta, 0.0))) / 3.0
+            sq = [d, d, al - 2.0 * d]
+    if any(z.imag != 0.0 for k, z in enumerate(lam) if k not in cluster):
+        raise ComplexFrequencies(f"characteristic cubic of {p} has complex roots {roots}")
+    sq.sort(reverse=True)
+    if sq[2] <= 0.0:
+        raise ComplexFrequencies(f"characteristic cubic of {p} has non-positive root {sq[2]}")
+    w = [math.sqrt(v) for v in sq]
+    return FrequencyTriple((w[0], w[1], w[2]), deg)
 
 
 def flow_operator(p: PUParams) -> np.ndarray:

@@ -71,6 +71,7 @@ class _Mode:
 
 
 def _mode_basis(f: FrequencyTriple) -> list[_Mode]:
+    """Six modes for the class of ``f``, whose repeated frequencies are stored equal."""
     w1, w2, w3 = f.omegas
     if f.degeneracy is Degeneracy.NON_DEGENERATE:
         return [
@@ -79,21 +80,16 @@ def _mode_basis(f: FrequencyTriple) -> list[_Mode]:
             _Mode(0, w3, "sin"), _Mode(0, w3, "cos"),
         ]
     if f.degeneracy is Degeneracy.FULLY_DEGENERATE:
-        w = (w1 + w2 + w3) / 3.0
         return [
-            _Mode(0, w, "sin"), _Mode(0, w, "cos"),
-            _Mode(1, w, "sin"), _Mode(1, w, "cos"),
-            _Mode(2, w, "sin"), _Mode(2, w, "cos"),
+            _Mode(0, w1, "sin"), _Mode(0, w1, "cos"),
+            _Mode(1, w1, "sin"), _Mode(1, w1, "cos"),
+            _Mode(2, w1, "sin"), _Mode(2, w1, "cos"),
         ]
-    # partially degenerate: the repeated pair carries the t-modes
-    sq = f.squares
-    if sq[0] - sq[1] <= f.tol:
-        wrep, wdist = 0.5 * (w1 + w2), w3
-    else:
-        wrep, wdist = 0.5 * (w2 + w3), w1
+    # partially degenerate: the repeated pair, which holds w2, carries the t-modes
+    wdist = w3 if w1 == w2 else w1
     return [
-        _Mode(0, wrep, "sin"), _Mode(0, wrep, "cos"),
-        _Mode(1, wrep, "sin"), _Mode(1, wrep, "cos"),
+        _Mode(0, w2, "sin"), _Mode(0, w2, "cos"),
+        _Mode(1, w2, "sin"), _Mode(1, w2, "cos"),
         _Mode(0, wdist, "sin"), _Mode(0, wdist, "cos"),
     ]
 
@@ -150,8 +146,10 @@ def solve_exact(f: FrequencyTriple, initial) -> ExactSolution:
         raise SingularModeMatrix(
             f"mode matrix singular for {f}; degeneracy likely misclassified"
         ) from exc
-    resid = np.abs(M @ coeffs - s0).max()
-    if resid > 1e-9 * max(1.0, np.abs(s0).max()):
+    # row `order` of M grows like w1^order, so compare each row on its own scale
+    rows = max(1.0, f.omegas[0]) ** np.arange(DIM)
+    resid = (np.abs(M @ coeffs - s0) / rows).max()
+    if resid > 1e-9 * max(1.0, (np.abs(s0) / rows).max()):
         raise SingularModeMatrix(f"mode matching residual {resid:.3e} too large for {f}")
     return ExactSolution(frequencies=f, modes=tuple(modes), coefficients=coeffs)
 

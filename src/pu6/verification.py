@@ -80,8 +80,8 @@ def run_invariant_suite(
     Every check runs on the unit-frequency model of ``core.canonical_units``:
     the time rescaling maps each identity and definiteness statement onto
     itself, so residuals are plain relative ones and mean the same at any
-    frequency scale.  ``tol`` overrides the degeneracy-classification
-    tolerance on the canonical squared frequencies.
+    frequency scale.  ``tol`` overrides the relative degeneracy tolerance
+    of ``core.frequencies_from_params``.
     """
     rng = rng or np.random.default_rng(0)
     _, p = core.canonical_units(p)
@@ -89,8 +89,8 @@ def run_invariant_suite(
     H = np.stack([core.hamiltonian_form(k, p).matrix for k in (1, 2, 3)])
     X = np.stack([symmetries.lie_generator(i, p) for i in range(1, 7)])
     try:
-        f = frequencies_from_params(p, tol=tol if tol is not None else 1e-9)
-    except (ComplexFrequencies, GammaZero):
+        f = frequencies_from_params(p, tol=tol)
+    except ComplexFrequencies:
         f = None
     distinct = f is not None and not f.is_degenerate()
     if distinct:

@@ -133,6 +133,18 @@ def test_verify_degenerate_skips(tmp_path):
     assert all(s in ("pass", "skip") for s in statuses.values())
 
 
+@pytest.mark.parametrize("omegas", [(4, 3.87890625, 3.875), (400, 387.890625, 387.5)])
+def test_verify_passes_with_close_pairs(tmp_path, omegas):
+    # gaps of 0.1% and 3%: three distinct frequencies, not a double root
+    out = tmp_path / "report.json"
+    cfg = {"model": {"omegas": list(omegas)}}
+    code = cli.main(["--config", _write(tmp_path, "c.json", cfg), "--out", str(out), "verify"])
+    assert code == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert tuple(c["name"] for c in checks) == VERIFY_CHECKS
+    assert all(c["status"] == "pass" for c in checks)
+
+
 def test_verify_gamma_zero_fails(tmp_path):
     out = tmp_path / "report.json"
     cfg = {"model": {"alpha": 3.0, "beta": 3.0, "gamma": 0.0}}

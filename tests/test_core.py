@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pu6
@@ -65,6 +67,7 @@ def test_frequencies_complex_regime():
     ws=st.lists(st.floats(min_value=0.2, max_value=4.0), min_size=3, max_size=3)
 )
 @settings(max_examples=60, deadline=None)
+@example(ws=[4.0, 3.87890625, 3.875])  # two close pairs; a discriminant rule calls it a double root
 def test_roundtrip_params_frequencies(ws):
     f = pu6.frequency_triple(*ws)
     p = pu6.params_from_frequencies(f)
@@ -72,6 +75,30 @@ def test_roundtrip_params_frequencies(ws):
     rt = pu6.params_from_frequencies(back)
     for a, b in zip((rt.alpha, rt.beta, rt.gamma), (p.alpha, p.beta, p.gamma)):
         assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
+
+
+@given(
+    w=st.floats(min_value=0.5, max_value=2.0),
+    log_gap=st.floats(min_value=-6.0, max_value=-1.0),
+    ratio=st.floats(min_value=1.3, max_value=3.0),
+    upper=st.booleans(),
+    log_lam=st.floats(min_value=-2.0, max_value=2.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_close_pair_keeps_class_and_round_trips(w, log_gap, ratio, upper, log_lam):
+    # one pair with relative square gap 1e-6..1e-1, the third frequency 1.3x or more away
+    lam = 10.0 ** log_lam
+    pair = (w, w * math.sqrt(1.0 + 10.0 ** log_gap))
+    third = min(pair) / ratio if upper else max(pair) * ratio
+    f = pu6.frequency_triple(*(lam * v for v in (*pair, third)))
+    assert f.degeneracy is pu6.Degeneracy.NON_DEGENERATE
+    p = pu6.params_from_frequencies(f)
+    for q in (p, pu6.canonical_units(p)[1]):
+        back = pu6.frequencies_from_params(q)
+        assert back.degeneracy is f.degeneracy
+        rt = pu6.params_from_frequencies(back)
+        for a, b in zip((rt.alpha, rt.beta, rt.gamma), (q.alpha, q.beta, q.gamma)):
+            assert abs(a - b) <= 1e-12 * abs(b)
 
 
 def test_pair_table():

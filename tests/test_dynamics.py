@@ -46,8 +46,14 @@ def test_exact_reproduces_initial(std_freqs, rng):
 
 def test_exact_flow_residual_all_classes(rng):
     times = np.linspace(0.0, 12.0, 1000)
-    for ws in ((3, 2, 1), (2, 2, 1), (1, 1, 1), (1.7, 0.9, 0.4)):
-        f = pu6.frequency_triple(*ws)
+    triples = [pu6.frequency_triple(*ws) for ws in ((3, 2, 1), (2, 2, 1), (1, 1, 1), (1.7, 0.9, 0.4))]
+    # the lower pair w2 = w3 from the roots of the cubic: (2, 1, 1) and 100 (2, 1, 1)
+    for lam in (1.0, 100.0):
+        f = pu6.frequencies_from_params(pu6.PUParams(6.0 * lam ** 2, 9.0 * lam ** 4, 4.0 * lam ** 6))
+        assert f.degeneracy is pu6.Degeneracy.PARTIALLY_DEGENERATE
+        assert f.omegas[0] > f.omegas[1] == f.omegas[2]
+        triples.append(f)
+    for f in triples:
         sol = pu6.solve_exact(f, rng.uniform(-1, 1, size=6))
         assert sol.flow_residual(times) < 1e-8
 
