@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -264,6 +265,7 @@ def cmd_represent(cfg: RunConfig, out: Optional[str]) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one shared parser per process: parse with it, never modify it
 def build_parser() -> argparse.ArgumentParser:
     def add_common(parser, default=None):
         parser.add_argument("--config", default=default, help="JSON config file")
@@ -299,8 +301,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args)
         return _COMMANDS[args.command](cfg, args.out)

@@ -394,26 +394,25 @@ def poisson_bracket(f: QuadraticForm, g: QuadraticForm, j: PoissonTensor) -> Qua
     return QuadraticForm(_bracket_matrix(f.matrix, j.matrix, g.matrix))
 
 
+def _ostrogradsky(s: np.ndarray, p: PUParams) -> np.ndarray:
+    """``ostrogradsky_map`` for states (n, 6) or one (6,): columns q1, q2, q3, pi1, pi2, pi3."""
+    q, qd, qdd, q3t, q4t, q5t = np.moveaxis(s, -1, 0)
+    pi1 = p.beta * qd + p.alpha * q3t + q5t
+    return np.stack([q, qd, qdd, pi1, -p.alpha * qdd - q4t, q3t], axis=-1)
+
+
+def _canonical_energy(c: np.ndarray, p: PUParams) -> np.ndarray:
+    """``canonical_hamiltonian`` for rows (n, 6) or one (6,) of ``_ostrogradsky``."""
+    q1, q2, q3, pi1, pi2, pi3 = np.moveaxis(c, -1, 0)
+    return (pi1 * q2 + pi2 * q3 + 0.5 * pi3 ** 2 + 0.5 * p.alpha * q3 ** 2
+            - 0.5 * p.beta * q2 ** 2 + 0.5 * p.gamma * q1 ** 2)
+
+
 def ostrogradsky_map(s, p: PUParams) -> CanonicalState:
     """Canonical coordinates and momenta of the higher-derivative Lagrangian."""
-    sv = as_state(s)
-    return CanonicalState(
-        q1=sv[Q],
-        q2=sv[QD],
-        q3=sv[QDD],
-        pi1=p.beta * sv[QD] + p.alpha * sv[Q3T] + sv[Q5T],
-        pi2=-p.alpha * sv[QDD] - sv[Q4T],
-        pi3=sv[Q3T],
-    )
+    return CanonicalState(*_ostrogradsky(as_state(s), p))
 
 
 def canonical_hamiltonian(c: CanonicalState, p: PUParams) -> float:
     """Energy in canonical variables; equals hamiltonian_form(1, p) on the state."""
-    return (
-        c.pi1 * c.q2
-        + c.pi2 * c.q3
-        + 0.5 * c.pi3 ** 2
-        + 0.5 * p.alpha * c.q3 ** 2
-        - 0.5 * p.beta * c.q2 ** 2
-        + 0.5 * p.gamma * c.q1 ** 2
-    )
+    return _canonical_energy(np.array([c.q1, c.q2, c.q3, c.pi1, c.pi2, c.pi3]), p)

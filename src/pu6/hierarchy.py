@@ -140,21 +140,30 @@ def _pair_products(p: PUParams) -> np.ndarray:
     return m
 
 
-def _duality_table(p: PUParams) -> np.ndarray:
-    """Bilinear map T behind the combined flow: e_i = sum_ab T[i,a,b] c_(1+a) c_(4+b).
+def _duality_matrices(ham: np.ndarray, p: PUParams) -> np.ndarray:
+    """T(c4,c5,c6), (..., 3, 3), for Hamiltonian weights (..., 3): e = T(c4,c5,c6) (c1,c2,c3).
 
-    (e1, e2, e3) are the weights of Jbar grad(Hbar) over X1, X2, X3 for
-    tensor weights (c1,c2,c3) and Hamiltonian weights (c4,c5,c6).
+    T is the bilinear map behind the combined flow, e_i = sum_ab T[i,a,b] c_(1+a) c_(4+b):
+    (e1, e2, e3) are the weights of Jbar grad(Hbar) over X1, X2, X3.
     """
     p.require_gamma()
     al, be, ga = p.alpha, p.beta, p.gamma
-    return np.array(
-        [
-            [[1.0, 0.0, 0.0], [al / ga, 1.0, 0.0], [(al * al - be) / ga ** 2, al / ga, 1.0]],
-            [[0.0, 0.0, -ga], [-1.0 / ga, 0.0, 0.0], [-al / ga ** 2, -1.0 / ga, 0.0]],
-            [[0.0, 1.0, be], [0.0, 0.0, 1.0], [1.0 / ga ** 2, 0.0, 0.0]],
-        ]
-    )
+    table = np.array([
+        [[1.0, 0.0, 0.0], [al / ga, 1.0, 0.0], [(al * al - be) / ga ** 2, al / ga, 1.0]],
+        [[0.0, 0.0, -ga], [-1.0 / ga, 0.0, 0.0], [-al / ga ** 2, -1.0 / ga, 0.0]],
+        [[0.0, 1.0, be], [0.0, 0.0, 1.0], [1.0 / ga ** 2, 0.0, 0.0]],
+    ])
+    return (table @ ham[..., None, :, None])[..., 0]
+
+
+def _dual_weights(ham: np.ndarray, p: PUParams):
+    """``coeffs_dual`` for weights (n, 3): the regular rows' tensor weights and the (n,) mask."""
+    p.require_gamma()
+    m = _pair_products(p)
+    factors = np.abs(ham[:, 2, None] * m * m + ham[:, 1, None] * m + ham[:, 0, None])
+    scale = np.maximum(np.abs(ham).max(axis=1), factors.max(axis=1))
+    ok = ~(factors.min(axis=1) < 1e-12 * np.maximum(scale, 1e-300))
+    return np.linalg.solve(_duality_matrices(ham[ok], p), [[1.0], [0.0], [0.0]])[..., 0], ok
 
 
 def coeffs_dual(c4: float, c5: float, c6: float, p: PUParams) -> CombinationCoeffs:
@@ -167,16 +176,10 @@ def coeffs_dual(c4: float, c5: float, c6: float, p: PUParams) -> CombinationCoef
     frequencies; a vanishing factor means the chosen Hamiltonian combination
     is degenerate for that mode pair.
     """
-    p.require_gamma()
-    factors = np.array([c6 * m * m + c5 * m + c4 for m in _pair_products(p)])
-    scale = max(abs(c4), abs(c5), abs(c6), float(np.abs(factors).max()))
-    if np.abs(factors).min() < 1e-12 * max(scale, 1e-300):
-        raise SingularCombination(
-            f"denominator factor vanishes for (c4,c5,c6)=({c4},{c5},{c6}): factors {factors}"
-        )
-    m = _duality_table(p) @ np.array([c4, c5, c6])
-    c1, c2, c3 = np.linalg.solve(m, [1.0, 0.0, 0.0])
-    return CombinationCoeffs(c1, c2, c3, c4, c5, c6)
+    tensor, ok = _dual_weights(np.array([[c4, c5, c6]], dtype=float), p)
+    if not ok[0]:
+        raise SingularCombination(f"denominator factor vanishes for (c4,c5,c6)=({c4},{c5},{c6})")
+    return CombinationCoeffs(*tensor[0], c4, c5, c6)
 
 
 def _weighted_sum(weights, mats) -> np.ndarray:
@@ -229,11 +232,17 @@ def combined_form(c: CombinationCoeffs, p: PUParams) -> QuadraticForm:
     return QuadraticForm(_weighted_sum(c.hamiltonian_weights, hs))
 
 
+def _combined_flows(tensor: np.ndarray, ham: np.ndarray, p: PUParams):
+    """``combined_flow`` and ``flow_expansion_coefficients`` for weights (n, 3) or one (3,) each."""
+    p.require_gamma()
+    js, hs, _ = _model_matrices(p)
+    flows = _weighted_sum(tensor.T, js) @ _weighted_sum(ham.T, hs)
+    return flows, (_duality_matrices(ham, p) @ tensor[..., None])[..., 0]
+
+
 def combined_flow(c: CombinationCoeffs, p: PUParams) -> np.ndarray:
     """Jbar Abar: the flow generated by the combined tensor and Hamiltonian."""
-    p.require_gamma()
-    js, _, _ = _model_matrices(p)
-    return _weighted_sum(c.poisson_weights, js) @ combined_form(c, p).matrix
+    return _combined_flows(np.array(c.poisson_weights), np.array(c.hamiltonian_weights), p)[0]
 
 
 def flow_expansion_coefficients(c: CombinationCoeffs, p: PUParams) -> np.ndarray:
@@ -242,4 +251,4 @@ def flow_expansion_coefficients(c: CombinationCoeffs, p: PUParams) -> np.ndarray
     The combined flow reproduces the original one exactly when
     (e1, e2, e3) = (1, 0, 0).
     """
-    return _duality_table(p) @ np.array(c.hamiltonian_weights) @ np.array(c.poisson_weights)
+    return _combined_flows(np.array(c.poisson_weights), np.array(c.hamiltonian_weights), p)[1]

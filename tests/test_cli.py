@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -158,16 +161,28 @@ def test_verify_gamma_zero_fails(tmp_path):
 
 
 def test_verify_reports_exhausted_dual_draws(tmp_path, monkeypatch):
-    def always_singular(c4, c5, c6, p):
-        raise pu6.SingularCombination("forced")
+    def always_singular(ham, p):  # the stacked core behind coeffs_dual, rejecting every row
+        return np.empty((0, 3)), np.zeros(len(ham), dtype=bool)
 
-    monkeypatch.setattr(pu6.hierarchy, "coeffs_dual", always_singular)
+    monkeypatch.setattr(pu6.hierarchy, "_dual_weights", always_singular)
     out = tmp_path / "report.json"
     code = cli.main(["--config", _write(tmp_path, "c.json", _model321()), "--out", str(out), "verify"])
     assert code == 1
-    statuses = {c["name"]: c["status"] for c in json.loads(out.read_text())["checks"]}
-    assert statuses.pop("dual_flow_recovery") == "fail"
-    assert set(statuses.values()) == {"pass"}
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    dual = checks.pop("dual_flow_recovery")
+    assert dual["status"] == "fail"
+    assert dual["detail"].startswith("only 0 of 200 draws were non-singular")
+    assert {c["status"] for c in checks.values()} == {"pass"}
+
+
+def test_verify_zero_model_fails_with_a_full_report(tmp_path):
+    out = tmp_path / "report.json"
+    cfg = _write(tmp_path, "c.json", {"model": {"alpha": 0, "beta": 0, "gamma": 0}})
+    with np.errstate(all="raise"):  # a zero operand scale must not warn
+        assert cli.main(["--config", cfg, "--out", str(out), "verify"]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert tuple(c["name"] for c in checks) == VERIFY_CHECKS
+    assert {c["name"]: c["status"] for c in checks}["abelian_algebra"] == "fail"
 
 
 def test_verify_reports_every_check_when_the_recursion_fails(tmp_path, monkeypatch):
@@ -246,6 +261,29 @@ def test_verify_deterministic_with_seed(tmp_path):
         assert cli.main(["--config", cfgp, "--out", str(out), "--seed", "5", "verify"]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json", _model321())
+    first, second, fresh = (tmp_path / name for name in ("r1.json", "r2.json", "r3.json"))
+    argv = ["--config", cfg, "--out", str(first), "verify", "--seed", "7", "--tol", "1e-9"]
+    assert cli.main(argv) == 0
+    assert cli.main(["--config", cfg, "--out", str(second), "verify"]) == 0
+    src = os.path.dirname(os.path.dirname(pu6.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    subprocess.run(
+        [sys.executable, "-m", "pu6.cli", "--config", cfg, "--out", str(fresh), "verify"],
+        env=env, check=True,
+    )
+    assert second.read_bytes() == fresh.read_bytes()
+    assert json.loads(first.read_text())["seed"] == 7
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", cfg, "verify", "--seed", "seven"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert cli.main(["--config", cfg, "--out", str(second), "verify"]) == 0
+    assert second.read_bytes() == fresh.read_bytes()
 
 
 # ---------------------------------------------------------------------------

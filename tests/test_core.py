@@ -395,6 +395,16 @@ def test_ostrogradsky_energy_identity(std_params, rng):
         assert abs(val - h1(s)) <= 1e-10 * max(1.0, abs(h1(s)))
 
 
+def test_stacked_ostrogradsky_matches_scalar_routines(std_params, rng):
+    states = rng.uniform(-3, 3, size=(50, 6))
+    canonical = pu6.core._ostrogradsky(states, std_params)
+    energies = pu6.core._canonical_energy(canonical, std_params)
+    for s, row, energy in zip(states, canonical, energies):
+        c = pu6.ostrogradsky_map(s, std_params)
+        np.testing.assert_array_equal(row, [c.q1, c.q2, c.q3, c.pi1, c.pi2, c.pi3])
+        assert energy == pu6.canonical_hamiltonian(c, std_params)
+
+
 def test_model_matrices_cache(std_params):
     from pu6.core import _model_matrices
 

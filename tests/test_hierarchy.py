@@ -166,6 +166,27 @@ def test_dual_singular_combination(std_params):
         pu6.coeffs_dual(-36.0 * s, s, 0.0, std_params)
 
 
+@pytest.mark.parametrize("params", [(14.0, 49.0, 36.0), (1.0, -5.0, 1.0)])
+def test_stacked_duality_cores_match_scalar_routines(params, rng):
+    p = pu6.PUParams(*params)
+    ham = rng.normal(size=(40, 3))
+    ham[[3, 17]] = (-36.0 * 0.7, 0.7, 0.0)  # singular at (3, 2, 1), see above
+    tensor, regular = pu6.hierarchy._dual_weights(ham, p)
+    duals = []
+    for row in ham:
+        try:
+            duals.append(pu6.coeffs_dual(*row, p))
+        except pu6.SingularCombination:
+            duals.append(None)
+    assert regular.tolist() == [c is not None for c in duals]
+    assert regular[[3, 17]].tolist() == [params != (14.0, 49.0, 36.0)] * 2
+    kept = [c for c in duals if c is not None]
+    np.testing.assert_array_equal(tensor, [c.poisson_weights for c in kept])
+    flows, e = pu6.hierarchy._combined_flows(tensor, ham[regular], p)
+    np.testing.assert_array_equal(flows, [pu6.combined_flow(c, p) for c in kept])
+    np.testing.assert_array_equal(e, [pu6.flow_expansion_coefficients(c, p) for c in kept])
+
+
 def test_dual_random_draws_recover_flow(std_params, rng):
     F = pu6.flow_operator(std_params)
     done = 0
