@@ -397,8 +397,7 @@ def poisson_bracket(f: QuadraticForm, g: QuadraticForm, j: PoissonTensor) -> Qua
 def _ostrogradsky(s: np.ndarray, p: PUParams) -> np.ndarray:
     """``ostrogradsky_map`` for states (n, 6) or one (6,): columns q1, q2, q3, pi1, pi2, pi3."""
     q, qd, qdd, q3t, q4t, q5t = np.moveaxis(s, -1, 0)
-    pi1 = p.beta * qd + p.alpha * q3t + q5t
-    return np.stack([q, qd, qdd, pi1, -p.alpha * qdd - q4t, q3t], axis=-1)
+    return np.stack([q, qd, qdd, p.beta * qd + p.alpha * q3t + q5t, -p.alpha * qdd - q4t, q3t], axis=-1)
 
 
 def _canonical_energy(c: np.ndarray, p: PUParams) -> np.ndarray:

@@ -157,13 +157,13 @@ def _duality_matrices(ham: np.ndarray, p: PUParams) -> np.ndarray:
 
 
 def _dual_weights(ham: np.ndarray, p: PUParams):
-    """``coeffs_dual`` for weights (n, 3): the regular rows' tensor weights and the (n,) mask."""
-    p.require_gamma()
+    """``coeffs_dual`` for weights (n, 3): regular rows' tensor weights, (n,) mask, (n, 3) factors."""
     m = _pair_products(p)
-    factors = np.abs(ham[:, 2, None] * m * m + ham[:, 1, None] * m + ham[:, 0, None])
-    scale = np.maximum(np.abs(ham).max(axis=1), factors.max(axis=1))
-    ok = ~(factors.min(axis=1) < 1e-12 * np.maximum(scale, 1e-300))
-    return np.linalg.solve(_duality_matrices(ham[ok], p), [[1.0], [0.0], [0.0]])[..., 0], ok
+    factors = ham[:, 2, None] * m * m + ham[:, 1, None] * m + ham[:, 0, None]
+    scale = np.maximum(np.abs(ham).max(axis=1), np.abs(factors).max(axis=1))
+    ok = ~(np.abs(factors).min(axis=1) < 1e-12 * np.maximum(scale, 1e-300))
+    e1 = np.broadcast_to([[1.0], [0.0], [0.0]], (int(ok.sum()), 3, 1))  # e1 per system
+    return np.linalg.solve(_duality_matrices(ham[ok], p), e1)[..., 0], ok, factors
 
 
 def coeffs_dual(c4: float, c5: float, c6: float, p: PUParams) -> CombinationCoeffs:
@@ -176,9 +176,10 @@ def coeffs_dual(c4: float, c5: float, c6: float, p: PUParams) -> CombinationCoef
     frequencies; a vanishing factor means the chosen Hamiltonian combination
     is degenerate for that mode pair.
     """
-    tensor, ok = _dual_weights(np.array([[c4, c5, c6]], dtype=float), p)
+    tensor, ok, factors = _dual_weights(np.array([[c4, c5, c6]], dtype=float), p)
     if not ok[0]:
-        raise SingularCombination(f"denominator factor vanishes for (c4,c5,c6)=({c4},{c5},{c6})")
+        msg = f"denominator factor vanishes for (c4,c5,c6)=({c4},{c5},{c6}): factors {factors[0]}"
+        raise SingularCombination(msg)
     return CombinationCoeffs(*tensor[0], c4, c5, c6)
 
 
@@ -232,17 +233,21 @@ def combined_form(c: CombinationCoeffs, p: PUParams) -> QuadraticForm:
     return QuadraticForm(_weighted_sum(c.hamiltonian_weights, hs))
 
 
-def _combined_flows(tensor: np.ndarray, ham: np.ndarray, p: PUParams):
-    """``combined_flow`` and ``flow_expansion_coefficients`` for weights (n, 3) or one (3,) each."""
+def _combined_flows(tensor: np.ndarray, ham: np.ndarray, p: PUParams) -> np.ndarray:
+    """``combined_flow`` for weights (n, 3) or one (3,) each."""
     p.require_gamma()
     js, hs, _ = _model_matrices(p)
-    flows = _weighted_sum(tensor.T, js) @ _weighted_sum(ham.T, hs)
-    return flows, (_duality_matrices(ham, p) @ tensor[..., None])[..., 0]
+    return _weighted_sum(tensor.T, js) @ _weighted_sum(ham.T, hs)
+
+
+def _expansion_weights(tensor: np.ndarray, ham: np.ndarray, p: PUParams) -> np.ndarray:
+    """``flow_expansion_coefficients`` for weights (n, 3) or one (3,) each."""
+    return (_duality_matrices(ham, p) @ tensor[..., None])[..., 0]
 
 
 def combined_flow(c: CombinationCoeffs, p: PUParams) -> np.ndarray:
     """Jbar Abar: the flow generated by the combined tensor and Hamiltonian."""
-    return _combined_flows(np.array(c.poisson_weights), np.array(c.hamiltonian_weights), p)[0]
+    return _combined_flows(np.array(c.poisson_weights), np.array(c.hamiltonian_weights), p)
 
 
 def flow_expansion_coefficients(c: CombinationCoeffs, p: PUParams) -> np.ndarray:
@@ -251,4 +256,4 @@ def flow_expansion_coefficients(c: CombinationCoeffs, p: PUParams) -> np.ndarray
     The combined flow reproduces the original one exactly when
     (e1, e2, e3) = (1, 0, 0).
     """
-    return _combined_flows(np.array(c.poisson_weights), np.array(c.hamiltonian_weights), p)[1]
+    return _expansion_weights(np.array(c.poisson_weights), np.array(c.hamiltonian_weights), p)

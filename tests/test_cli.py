@@ -162,7 +162,7 @@ def test_verify_gamma_zero_fails(tmp_path):
 
 def test_verify_reports_exhausted_dual_draws(tmp_path, monkeypatch):
     def always_singular(ham, p):  # the stacked core behind coeffs_dual, rejecting every row
-        return np.empty((0, 3)), np.zeros(len(ham), dtype=bool)
+        return np.empty((0, 3)), np.zeros(len(ham), dtype=bool), np.zeros_like(ham)
 
     monkeypatch.setattr(pu6.hierarchy, "_dual_weights", always_singular)
     out = tmp_path / "report.json"

@@ -162,8 +162,27 @@ def test_dual_ones_recovers_flow(std_params):
 def test_dual_singular_combination(std_params):
     # c4 = -w1^2 w2^2 s, c5 = s zeroes the (1,2) denominator factor
     s = 0.7
-    with pytest.raises(pu6.SingularCombination):
+    with pytest.raises(pu6.SingularCombination, match=r"factors \[") as err:
         pu6.coeffs_dual(-36.0 * s, s, 0.0, std_params)
+    # the message lists the three factors, so the degenerate mode pair can be read off
+    _, _, factors = pu6.hierarchy._dual_weights(np.array([[-36.0 * s, s, 0.0]]), std_params)
+    assert str(factors[0]) in str(err.value)
+
+
+def test_dual_solve_gets_a_stack_of_right_hand_sides(std_params, rng, monkeypatch):
+    # NumPy 1.x reads a (3, 1) b against (n, 3, 3) systems as n vectors and fails;
+    # a b carrying the batch axis means the same to NumPy 1.x and 2.x
+    solve = np.linalg.solve
+
+    def strict_solve(a, b):
+        assert np.ndim(b) == np.ndim(a) and np.shape(b)[:-1] == np.shape(a)[:-1]
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", strict_solve)
+    for n in (0, 1, 5):
+        tensor, regular, _ = pu6.hierarchy._dual_weights(rng.normal(size=(n, 3)), std_params)
+        assert tensor.shape == (int(regular.sum()), 3)
+    pu6.coeffs_dual(1.0, 2.0, 3.0, std_params)
 
 
 @pytest.mark.parametrize("params", [(14.0, 49.0, 36.0), (1.0, -5.0, 1.0)])
@@ -171,7 +190,7 @@ def test_stacked_duality_cores_match_scalar_routines(params, rng):
     p = pu6.PUParams(*params)
     ham = rng.normal(size=(40, 3))
     ham[[3, 17]] = (-36.0 * 0.7, 0.7, 0.0)  # singular at (3, 2, 1), see above
-    tensor, regular = pu6.hierarchy._dual_weights(ham, p)
+    tensor, regular, _ = pu6.hierarchy._dual_weights(ham, p)
     duals = []
     for row in ham:
         try:
@@ -182,7 +201,8 @@ def test_stacked_duality_cores_match_scalar_routines(params, rng):
     assert regular[[3, 17]].tolist() == [params != (14.0, 49.0, 36.0)] * 2
     kept = [c for c in duals if c is not None]
     np.testing.assert_array_equal(tensor, [c.poisson_weights for c in kept])
-    flows, e = pu6.hierarchy._combined_flows(tensor, ham[regular], p)
+    flows = pu6.hierarchy._combined_flows(tensor, ham[regular], p)
+    e = pu6.hierarchy._expansion_weights(tensor, ham[regular], p)
     np.testing.assert_array_equal(flows, [pu6.combined_flow(c, p) for c in kept])
     np.testing.assert_array_equal(e, [pu6.flow_expansion_coefficients(c, p) for c in kept])
 
