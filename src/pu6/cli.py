@@ -133,13 +133,10 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
     sec = cfg.section("simulate")
     dt = config_value(sec.get("dt", 1e-3), "simulate.dt")
     t_end = config_value(sec.get("t_end", 20.0), "simulate.t_end")
-    if dt <= 0.0 or t_end <= 0.0:
-        raise ConfigError(f"simulate needs dt > 0 and t_end > 0, got dt={dt}, t_end={t_end}")
-    steps = t_end / dt
-    if not 0.5 < steps < math.inf or abs(steps - round(steps)) > 1e-9 * steps:
-        raise ConfigError(
-            f"simulate needs t_end to be a whole, non-zero number of steps dt, got t_end/dt {steps:g}"
-        )
+    try:
+        dynamics.step_count(t_end, dt)
+    except ValueError as exc:
+        raise ConfigError(f"simulate {exc}") from exc
     initial = config_value(
         sec.get("initial", (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)), "simulate.initial", shape=(6,)
     )

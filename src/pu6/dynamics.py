@@ -6,8 +6,14 @@ analytically (product/chain rule), never by finite differences, so that the
 flow-residual invariant isolates formula errors.
 
 For an interaction-free (linear) flow one RK4 step is a fixed polynomial in
-dt F, so `integrate_rk4` builds that 6x6 increment once and applies it per
-step; interacting flows keep the four field evaluations per step.
+dt F, so `integrate_rk4` builds that 6x6 increment once, then the increments
+of its first 128 powers, and fills the trajectory a block of up to 128 states
+at a time from one state; interacting flows keep the four field evaluations
+per step.  The block form matches the four-stage loop to rounding, but where
+rounding decides the outcome the two can part: a decaying state of 1e300
+whose rounding errors feed a growing mode overflows at a step that depends
+on those errors, and on a fully degenerate model at coarse steps the
+secular modes amplify the rounding of the powers.
 
 The interacting field adds a potential gradient -W'(s[slot]) to the last
 component of the linear flow; its pointwise Jacobian and the induced bracket
@@ -255,6 +261,27 @@ class Trajectory:
         object.__setattr__(self, "states", s)
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """The number of steps dt in t_end, at least one.
+
+    Raises ValueError unless dt and t_end are positive and t_end / dt is
+    finite and, to 1e-9 relative, a whole number of at least one; so a NaN
+    or infinite dt or t_end is refused.  The message reads on from the
+    caller's name ("simulate needs ...").
+    """
+    if dt <= 0.0 or t_end <= 0.0:
+        raise ValueError(f"needs dt > 0 and t_end > 0, got dt={dt}, t_end={t_end}")
+    steps = t_end / dt
+    if not 0.5 < steps < math.inf or abs(steps - round(steps)) > 1e-9 * steps:
+        raise ValueError(
+            f"needs t_end to be a whole, non-zero number of steps dt, got t_end/dt {steps:g}"
+        )
+    return int(round(steps))
+
+
+_RK4_BLOCK = 128  # linear RK4 states filled from one state, at most
+
+
 def integrate_rk4(
     p: PUParams,
     initial,
@@ -265,14 +292,13 @@ def integrate_rk4(
     """Classical fixed-step fourth-order integration of the (possibly interacting) flow.
 
     Without an interaction the field is linear, so one step is the fixed
-    increment s -> s + Q s with Q = sum_{k=1..4} (dt F)^k / k!, built once.
+    increment s -> s + Q s with Q = sum_{k=1..4} (dt F)^k / k!, built once
+    and applied a block of steps at a time (see ``_linear_rk4``).
     Deterministic for identical inputs; overflow raises instead of clamping,
     since divergent degenerate modes and unstable interactions are physical
     outcomes to report.
     """
-    if dt <= 0.0 or t_end <= 0.0:
-        raise ValueError(f"need dt > 0 and t_end > 0, got dt={dt}, t_end={t_end}")
-    n_steps = int(round(t_end / dt))
+    n_steps = step_count(t_end, dt)
     times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, DIM))
     s = as_state(initial)
@@ -295,21 +321,38 @@ def integrate_rk4(
 
 
 def _linear_rk4(F: np.ndarray, dt: float, states: np.ndarray) -> None:
-    """Fill states[1:] from states[0] by RK4 steps of ds/dt = F s, as s + s Q^T.
+    """Fill states[1:] from states[0] by RK4 steps of ds/dt = F s, a block at a time.
 
-    The increment form keeps the dt^4 terms out of the rounding of the
-    identity; s P^T with P = I + Q loses them.  Overflow is reported at the
-    first step whose state or whose stage sum k1 + 2k2 + 2k3 + k4 = (6/dt) Q s
-    is non-finite, the step at which the four-stage loop raises.
+    One step is s -> s + s Q^T.  The increments D_i = P^i - I of the powers
+    of P = I + Q, i = 1.._RK4_BLOCK, are built by doubling,
+    D_(k+i) = D_i + D_k + D_i D_k, so each carries the rounding of about
+    log2(i) products; the block after state s_j is s_j + s_j D_i^T.  The
+    increment form keeps the dt^4 terms out of the rounding of the identity.
+    s_j enters divided by the power of two just above max|s_j|, which is
+    exact and keeps s_j D_i^T from overflowing ahead of the state itself.
+    Only the leading powers whose entries stay below 2^1020 are used (D_1
+    always), so a scaled state times one of them cannot overflow either.
+    Overflow is reported at the first step whose state or whose stage sum
+    k1 + 2k2 + 2k3 + k4 = (6/dt) Q s is non-finite.
     """
     a = dt * F
     eye = np.eye(DIM)
-    qt = (a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)).T.copy()
+    qt = (a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)).T
+    powers = np.empty((_RK4_BLOCK, DIM, DIM))
+    powers[0] = qt
+    n = len(states) - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        s = states[0]
-        for k in range(1, len(states)):
-            s = s + s @ qt
-            states[k] = s
+        m = 1
+        while m < _RK4_BLOCK:
+            k = min(m, _RK4_BLOCK - m)
+            powers[m:m + k] = powers[:k] + powers[m - 1] + powers[:k] @ powers[m - 1]
+            m += k
+        block = max(1, int((np.abs(powers).max(axis=(1, 2)) < 2.0 ** 1020).cumprod().sum()))
+        for j in range(0, n, block):
+            m = min(block, n - j)
+            scale = np.ldexp(1.0, np.frexp(np.abs(states[j]).max())[1])
+            u = states[j] / scale
+            states[j + 1:j + 1 + m] = scale * (u + u @ powers[:m])
         stage_sums = states[:-1] @ (qt * (6.0 / dt))
     bad = ~(np.isfinite(states[1:]) & np.isfinite(stage_sums)).all(axis=1)
     if bad.any():
@@ -318,7 +361,7 @@ def _linear_rk4(F: np.ndarray, dt: float, states: np.ndarray) -> None:
 
 
 def exact_trajectory(sol: ExactSolution, t_end: float, dt: float) -> Trajectory:
-    n_steps = int(round(t_end / dt))
+    n_steps = step_count(t_end, dt)
     times = np.arange(n_steps + 1) * dt
     return Trajectory(times=times, states=sol.states(times), method="exact")
 
@@ -349,6 +392,6 @@ def trajectory_csv(traj: Trajectory, p: PUParams, stream) -> list[np.ndarray]:
     hvals = _form_values(traj.states, hs)
     table = np.column_stack([traj.times, traj.states, *hvals])
     for start in range(0, len(table), _CSV_BLOCK):
-        block = table[start:start + _CSV_BLOCK].tolist()
-        stream.write("".join(_CSV_ROW % tuple(row) for row in block))
+        block = table[start:start + _CSV_BLOCK]
+        stream.write((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
     return hvals

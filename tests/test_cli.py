@@ -109,6 +109,23 @@ def test_simulate_overflow_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "sim, message",
+    [({"dt": -0.1}, "simulate needs dt > 0 and t_end > 0, got dt=-0.1, t_end=20.0"),
+     ({"dt": 0.3, "t_end": 1.0},
+      "simulate needs t_end to be a whole, non-zero number of steps dt, got t_end/dt 3.33333"),
+     ({"dt": 0.5, "t_end": 0.2},
+      "simulate needs t_end to be a whole, non-zero number of steps dt, got t_end/dt 0.4"),
+     ({"dt": 1e-300, "t_end": 1e300},
+      "simulate needs t_end to be a whole, non-zero number of steps dt, got t_end/dt inf")],
+)
+def test_simulate_step_count_messages(tmp_path, capsys, sim, message):
+    cfg = _model321()
+    cfg["simulate"] = sim
+    assert cli.main(["--config", _write(tmp_path, "c.json", cfg), "simulate"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

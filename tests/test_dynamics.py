@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,71 @@ def test_linear_rk4_overflow_step_matches_reference(initial, t_end):
     with pytest.raises(pu6.NonFinite) as got:
         pu6.integrate_rk4(p, initial, t_end=t_end, dt=0.1)
     assert str(got.value) == str(expected.value)
+
+
+_BLOCK = pu6.dynamics._RK4_BLOCK
+
+
+@pytest.mark.parametrize("n_steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 40000])
+def test_linear_rk4_block_edges_match_stage_loop_reference(n_steps):
+    # the linear flow is filled a block of states at a time: runs that end
+    # just before, at and after a block edge, and a long run of many blocks
+    p = pu6.params_from_frequencies(pu6.frequency_triple(3.0, 2.0, 1.0))
+    s0 = np.random.default_rng(11).uniform(-1.0, 1.0, size=6)
+    traj = pu6.integrate_rk4(p, s0, t_end=n_steps * 1e-3, dt=1e-3)
+    times, states = _stage_loop_rk4(p, s0, n_steps * 1e-3, 1e-3)
+    assert traj.states.shape == (n_steps + 1, 6)
+    np.testing.assert_array_equal(traj.times, times)
+    assert np.abs(traj.states - states).max() <= 1e-12 * np.abs(states).max()
+
+
+def test_linear_rk4_overflow_of_an_opposed_pair_matches_reference():
+    # s_j D_i^T of a 1e300 state overflows long before the state does
+    # unless the state is scaled first; the four-stage loop overflows at t=37.06
+    p = pu6.PUParams(0.0, 0.0, -1.0)
+    initial = [1e300, -1e300, 0.0, 0.0, 0.0, 0.0]
+    t_end = 4706 * 0.17
+    with pytest.raises(pu6.NonFinite) as expected:
+        _stage_loop_rk4(p, initial, t_end, 0.17)
+    with pytest.raises(pu6.NonFinite) as got:
+        pu6.integrate_rk4(p, initial, t_end=t_end, dt=0.17)
+    assert "t=37.06 " in str(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("n_steps, last", [(50, 2.854e-160), (150, 2.326e121)])
+def test_linear_rk4_large_step_stays_finite_without_warnings(n_steps, last):
+    # at dt = 10 the state grows about 630-fold per step, so the powers of
+    # the step overflow after about 110 steps, long before a state of 1e-300
+    # does: they are built silently and left unused
+    p = pu6.PUParams(0.0, 0.0, -1.0)
+    s0 = np.ones(6) * 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = pu6.integrate_rk4(p, s0, t_end=n_steps * 10.0, dt=10.0)
+    _, states = _stage_loop_rk4(p, s0, n_steps * 10.0, 10.0)
+    assert np.all(np.isfinite(traj.states))
+    assert np.abs(traj.states - states).max() <= 1e-12 * np.abs(states).max()
+    assert np.abs(traj.states[-1]).max() == pytest.approx(last, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "t_end, dt",
+    [(1.0, np.inf), (1e-4, 1e-3), (np.nan, 1e-3), (np.inf, 1e-3), (1.0, np.nan), (1.0, 0.3),
+     (1.0, 0.0), (-1.0, 1e-3)],
+)
+def test_trajectories_refuse_bad_step_counts(std_params, std_freqs, t_end, dt):
+    # finite, positive dt and t_end, and a whole number of steps, at least one
+    with pytest.raises(ValueError, match="^needs "):
+        pu6.integrate_rk4(std_params, _cos3_state(), t_end=t_end, dt=dt)
+    with pytest.raises(ValueError, match="^needs "):
+        pu6.exact_trajectory(pu6.solve_exact(std_freqs, _cos3_state()), t_end, dt)
+
+
+def test_step_count_accepts_a_whole_number_of_steps():
+    assert pu6.dynamics.step_count(20.0, 1e-3) == 20000
+    assert pu6.dynamics.step_count(1e-3, 1e-3) == 1
+    assert pu6.dynamics.step_count(4706 * 0.17, 0.17) == 4706
 
 
 def test_rk4_convergence_study():
