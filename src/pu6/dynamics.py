@@ -9,11 +9,13 @@ For an interaction-free (linear) flow one RK4 step is a fixed polynomial in
 dt F, so `integrate_rk4` builds that 6x6 increment once, then the increments
 of its first 128 powers, and fills the trajectory a block of up to 128 states
 at a time from one state; interacting flows keep the four field evaluations
-per step.  The block form matches the four-stage loop to rounding, but where
-rounding decides the outcome the two can part: a decaying state of 1e300
-whose rounding errors feed a growing mode overflows at a step that depends
-on those errors, and on a fully degenerate model at coarse steps the
-secular modes amplify the rounding of the powers.
+per step.  At dt <= 1e-3 the block form stays within about 1e-13 of max|s|
+of the four-stage loop (5e-12 on a fully degenerate model); at coarse steps
+secular modes amplify rounding, in every RK4 form, to at most about 24 times
+the step-by-step increment's deviation (8e-8 at (10, 10, 10), dt = 0.05).
+Where rounding decides the outcome the forms can part: a decaying state of
+1e300 whose rounding errors feed a growing mode overflows at a step that
+depends on those errors.
 
 The interacting field adds a potential gradient -W'(s[slot]) to the last
 component of the linear flow; its pointwise Jacobian and the induced bracket
@@ -280,6 +282,7 @@ def step_count(t_end: float, dt: float) -> int:
 
 
 _RK4_BLOCK = 128  # linear RK4 states filled from one state, at most
+_RK4_GROWTH = 1.5  # a block ends where max|D_i| first exceeds this times i max|D_1|
 
 
 def integrate_rk4(
@@ -328,10 +331,13 @@ def _linear_rk4(F: np.ndarray, dt: float, states: np.ndarray) -> None:
     D_(k+i) = D_i + D_k + D_i D_k, so each carries the rounding of about
     log2(i) products; the block after state s_j is s_j + s_j D_i^T.  The
     increment form keeps the dt^4 terms out of the rounding of the identity.
-    s_j enters divided by the power of two just above max|s_j|, which is
-    exact and keeps s_j D_i^T from overflowing ahead of the state itself.
-    Only the leading powers whose entries stay below 2^1020 are used (D_1
-    always), so a scaled state times one of them cannot overflow either.
+    A block uses only the leading D_i with max|D_i| <= _RK4_GROWTH i max|D_1|
+    (D_1 always): where the powers grow faster than linearly, as secular
+    (t^k cos) and exponential modes make them, the rounding of a large D_i
+    would be applied over and over, so those flows take shorter blocks;
+    non-finite powers are never used.  s_j enters divided by a power of two
+    (the one just above max|s_j|, at most 2^1023), which is exact and keeps
+    the products s_j D_i^T from overflowing ahead of the state itself.
     Overflow is reported at the first step whose state or whose stage sum
     k1 + 2k2 + 2k3 + k4 = (6/dt) Q s is non-finite.
     """
@@ -347,12 +353,15 @@ def _linear_rk4(F: np.ndarray, dt: float, states: np.ndarray) -> None:
             k = min(m, _RK4_BLOCK - m)
             powers[m:m + k] = powers[:k] + powers[m - 1] + powers[:k] @ powers[m - 1]
             m += k
-        block = max(1, int((np.abs(powers).max(axis=(1, 2)) < 2.0 ** 1020).cumprod().sum()))
+        size = np.abs(powers).max(axis=(1, 2))
+        linear = size <= _RK4_GROWTH * np.arange(1, _RK4_BLOCK + 1) * size[0]
+        block = max(1, int(linear.cumprod().sum()))
+        wide = powers[:block].transpose(1, 0, 2).reshape(DIM, block * DIM)  # D_i^T side by side
         for j in range(0, n, block):
             m = min(block, n - j)
-            scale = np.ldexp(1.0, np.frexp(np.abs(states[j]).max())[1])
+            scale = math.ldexp(1.0, min(math.frexp(np.abs(states[j]).max())[1], 1023))
             u = states[j] / scale
-            states[j + 1:j + 1 + m] = scale * (u + u @ powers[:m])
+            states[j + 1:j + 1 + m] = scale * (u + (u @ wide[:, :m * DIM]).reshape(m, DIM))
         stage_sums = states[:-1] @ (qt * (6.0 / dt))
     bad = ~(np.isfinite(states[1:]) & np.isfinite(stage_sums)).all(axis=1)
     if bad.any():

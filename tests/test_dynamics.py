@@ -193,8 +193,8 @@ def test_linear_rk4_block_edges_match_stage_loop_reference(n_steps):
 
 
 def test_linear_rk4_overflow_of_an_opposed_pair_matches_reference():
-    # s_j D_i^T of a 1e300 state overflows long before the state does
-    # unless the state is scaled first; the four-stage loop overflows at t=37.06
+    # an opposed pair of 1e300 under exponential growth at a coarse step;
+    # the four-stage loop overflows at t=37.06
     p = pu6.PUParams(0.0, 0.0, -1.0)
     initial = [1e300, -1e300, 0.0, 0.0, 0.0, 0.0]
     t_end = 4706 * 0.17
@@ -220,6 +220,59 @@ def test_linear_rk4_large_step_stays_finite_without_warnings(n_steps, last):
     assert np.all(np.isfinite(traj.states))
     assert np.abs(traj.states - states).max() <= 1e-12 * np.abs(states).max()
     assert np.abs(traj.states[-1]).max() == pytest.approx(last, rel=1e-3)
+
+
+@pytest.mark.parametrize("params", [(0.0, 0.0, 0.0), (1.0, 2.0, 0.0)])
+def test_linear_rk4_fixed_point_at_the_top_of_the_range_stays_put(params):
+    # at gamma = 0, q = const is a solution: a state of 1e308 > 2^1023 scales
+    # to |u| < 2, and every step returns it unchanged
+    p = pu6.PUParams(*params)
+    s0 = [1e308, 0.0, 0.0, 0.0, 0.0, 0.0]
+    traj = pu6.integrate_rk4(p, s0, t_end=10.0, dt=0.1)
+    _, states = _stage_loop_rk4(p, s0, 10.0, 0.1)
+    np.testing.assert_array_equal(traj.states, states)
+    assert np.all(traj.states == np.array(s0))
+
+
+def test_linear_rk4_slow_growth_overflows_at_the_reference_step():
+    # q'''''' = 1e-6 q grows at rate 0.1, so its state spends about 7 time
+    # units between 2^1023 and the largest double; the four-stage loop
+    # overflows at t=28.9
+    p = pu6.PUParams(0.0, 0.0, -1e-6)
+    initial = 1e307 * 0.1 ** np.arange(6)  # the growing eigenvector
+    with pytest.raises(pu6.NonFinite) as expected:
+        _stage_loop_rk4(p, initial, 40.0, 0.1)
+    with pytest.raises(pu6.NonFinite) as got:
+        pu6.integrate_rk4(p, initial, t_end=40.0, dt=0.1)
+    assert "t=28.9 " in str(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+def test_linear_rk4_large_secular_state_stays_finite():
+    # from q = 1e304 the fully degenerate flow grows to 1.2e307 by t=100;
+    # the state times the powers of a block would overflow on the way,
+    # unless the state is scaled first
+    p = pu6.params_from_frequencies(pu6.frequency_triple(1.0, 1.0, 1.0))
+    s0 = [1e304, 0.0, 0.0, 0.0, 0.0, 0.0]
+    traj = pu6.integrate_rk4(p, s0, t_end=100.0, dt=0.5)
+    _, states = _stage_loop_rk4(p, s0, 100.0, 0.5)
+    assert np.abs(states).max() > 1e307
+    assert np.abs(traj.states - states).max() <= 1e-11 * np.abs(states).max()
+
+
+@pytest.mark.parametrize(
+    "omegas, dt", [((1.0, 1.0, 1.0), 0.5), ((2.0, 2.0, 2.0), 0.2), ((2.0, 2.0, 2.0), 0.05)]
+)
+def test_linear_rk4_secular_coarse_step_deviation_is_bounded(omegas, dt):
+    # a fully degenerate flow grows like t^2, which amplifies the rounding of
+    # the powers of the step; blocks end where the powers outgrow i D_1, and
+    # the states stay within 1e-7 of max|s| of the four-stage loop (measured:
+    # 2.5e-8, 2.7e-8 and 9e-10; 2.2e-6, 9.1e-7 and 1.1e-9 with full blocks)
+    p = pu6.params_from_frequencies(pu6.frequency_triple(*omegas))
+    s0 = np.random.default_rng(5).uniform(-1.0, 1.0, size=6)
+    traj = pu6.integrate_rk4(p, s0, t_end=5000 * dt, dt=dt)
+    _, states = _stage_loop_rk4(p, s0, 5000 * dt, dt)
+    assert np.abs(traj.states - states).max() <= 1e-7 * np.abs(states).max()
 
 
 @pytest.mark.parametrize(
