@@ -202,9 +202,6 @@ class InteractionSpec:
     def quartic(lam: float = 1.0, variable: int = 0) -> "InteractionSpec":
         return InteractionSpec(coefficients=(0.0, 0.0, 0.0, 0.0, lam / 4.0), variable=variable)
 
-    def w(self, x: float) -> float:
-        return sum(c * x ** i for i, c in enumerate(self.coefficients))
-
     def w1(self, x: float) -> float:
         return sum(i * c * x ** (i - 1) for i, c in enumerate(self.coefficients) if i >= 1)
 

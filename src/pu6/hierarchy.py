@@ -3,19 +3,18 @@
 Three independent routes produce the same H_n:
 
 * ladder route: the first row of M^(n-1) applied to (H1, H2, H3), where M is
-  the 3x3 matrix of the X5 action on the Hamiltonian triple;
+  ``_ladder_matrix``, the 3x3 matrix of the X5 action on the Hamiltonian triple;
 * closed-form route: the eigen-decomposition of M read off the frequency
   pair table, k = sum over pairs of (2 m^(n-2) / den) (r^2 m, -r s, 1)
   (refused for degenerate frequencies, where a block denominator den is 0);
 * recursion route: A_{n+1} = J2^{-1} J1 A_n, inverting one constant tensor.
 
 Linear combinations Jbar = c1 J1 + c2 J2 + c3 J3 and Hbar = c4 H1 + c5 H2 +
-c6 H3 reproduce the original flow exactly when the coefficient triples are
-dual to each other; both directions of that duality are provided.
+c6 H3 (``_hbar_matrix``) reproduce the original flow exactly when the
+coefficient triples are dual to each other; both directions are provided.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,12 +51,16 @@ class CombinationCoeffs:
         return (self.c4, self.c5, self.c6)
 
 
+def _ladder_matrix(p: PUParams) -> np.ndarray:
+    """M with X5 (H1, H2, H3) = M (H1, H2, H3); its eigenvalues are the pair products m."""
+    return np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [p.gamma ** 2, -p.alpha * p.gamma, p.beta]])
+
+
 def hierarchy_coefficients(n: int, p: PUParams) -> np.ndarray:
     """Weights (k1,k2,k3) with H_n = k1 H1 + k2 H2 + k3 H3, via the ladder matrix."""
     if n < 1:
         raise ValueError(f"the hierarchy starts at n = 1, got {n}")
-    m = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [p.gamma ** 2, -p.alpha * p.gamma, p.beta]])
-    return np.linalg.matrix_power(m, n - 1)[0]
+    return np.linalg.matrix_power(_ladder_matrix(p), n - 1)[0]
 
 
 def _closed_coefficients(n, f: FrequencyTriple) -> np.ndarray:
@@ -129,17 +132,6 @@ def hamiltonian_n_recursive(n: int, p: PUParams) -> QuadraticForm:
     return QuadraticForm(_recursion(n, pc)[-1] * rho ** (4 * n + 2 - np.add.outer(k, k)))
 
 
-@functools.lru_cache(maxsize=8)
-def _pair_products(p: PUParams) -> np.ndarray:
-    """Pairwise products of squared frequencies, as roots of m^3 - beta m^2 + alpha gamma m - gamma^2."""
-    comp = np.array(
-        [[0.0, 0.0, p.gamma ** 2], [1.0, 0.0, -p.alpha * p.gamma], [0.0, 1.0, p.beta]]
-    )
-    m = np.linalg.eigvals(comp)
-    m.flags.writeable = False
-    return m
-
-
 def _duality_matrices(ham: np.ndarray, p: PUParams) -> np.ndarray:
     """T(c4,c5,c6), (..., 3, 3), for Hamiltonian weights (..., 3): e = T(c4,c5,c6) (c1,c2,c3).
 
@@ -158,7 +150,7 @@ def _duality_matrices(ham: np.ndarray, p: PUParams) -> np.ndarray:
 
 def _dual_weights(ham: np.ndarray, p: PUParams):
     """``coeffs_dual`` for weights (n, 3): regular rows' tensor weights, (n,) mask, (n, 3) factors."""
-    m = _pair_products(p)
+    m = np.linalg.eigvals(_ladder_matrix(p).T)  # the pair products m
     factors = ham[:, 2, None] * m * m + ham[:, 1, None] * m + ham[:, 0, None]
     scale = np.maximum(np.abs(ham).max(axis=1), np.abs(factors).max(axis=1))
     ok = ~(np.abs(factors).min(axis=1) < 1e-12 * np.maximum(scale, 1e-300))
@@ -227,10 +219,16 @@ def coeffs_from_tensor(c1: float, c2: float, c3: float, p: PUParams) -> Combinat
     return CombinationCoeffs(c1, c2, c3, *ham)
 
 
+def _hbar_matrix(weights, p: PUParams) -> np.ndarray:
+    """Symmetrised c4 H1 + c5 H2 + c6 H3 for scalar or stacked weights, shape (..., 6, 6)."""
+    _, hs, _ = _model_matrices(p)
+    a = _weighted_sum(weights, hs)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
 def combined_form(c: CombinationCoeffs, p: PUParams) -> QuadraticForm:
     """The combined Hamiltonian c4 H1 + c5 H2 + c6 H3 as a form."""
-    _, hs, _ = _model_matrices(p)
-    return QuadraticForm(_weighted_sum(c.hamiltonian_weights, hs))
+    return QuadraticForm(_hbar_matrix(c.hamiltonian_weights, p))
 
 
 def _combined_flows(tensor: np.ndarray, ham: np.ndarray, p: PUParams) -> np.ndarray:

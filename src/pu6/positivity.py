@@ -5,8 +5,9 @@ Every combined Hamiltonian expands over three rank-2 positive blocks B_jk
 blocks form a basis of the dual state space for distinct frequencies, so the
 block expansion is a diagonalisation in disguise: the combination is
 positive-definite exactly when all three block prefactors are positive
-(Sylvester's law), and the eigenvalue route is kept as an independent oracle
-for that criterion rather than a fallback.
+(Sylvester's law), and the eigenvalue route, ``eigenvalue_split`` for one
+form or a whole scan row, is kept as an independent oracle for that
+criterion rather than a fallback.
 
 The blocks, the prefactors (c4 + c5 m + c6 m^2) / den, the tensor-weight
 polynomials c3 + c2 m + c1 m^2 and the block route of H_n all read the pair
@@ -27,11 +28,10 @@ from .core import (
     FrequencyTriple,
     PUParams,
     QuadraticForm,
-    _model_matrices,
     params_from_frequencies,
 )
 from .errors import ConfigError, DegenerateFrequencies, SingularCombination, config_value
-from .hierarchy import CombinationCoeffs, _tensor_duality, _weighted_sum
+from .hierarchy import CombinationCoeffs, _hbar_matrix, _tensor_duality, _weighted_sum
 from .hierarchy import coeffs_from_tensor  # noqa: F401  perfbench/tests checks its rebinding here
 
 _EIG_REL_TOL = 1e-10  # eigenvalue rule: positive iff lambda_min > _EIG_REL_TOL * spectral norm
@@ -153,19 +153,11 @@ def _polynomial_vanishes(poly: np.ndarray):
     return a.min(axis=-1) < 1e-14 * np.maximum(1e-300, a.max(axis=-1))
 
 
-def _hbar_matrix(weights, p: PUParams) -> np.ndarray:
-    """Symmetrised c4 H1 + c5 H2 + c6 H3 for scalar or stacked weights, shape (..., 6, 6)."""
-    _, hs, _ = _model_matrices(p)
-    a = _weighted_sum(weights, hs)
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
-
-
-def eigenvalue_split(form: QuadraticForm):
-    """(min eigenvalue, its eigenvector, spectral norm) of a form matrix."""
-    vals, vecs = np.linalg.eigh(form.matrix)
-    norm = float(np.abs(vals).max())
-    idx = int(np.argmin(vals))
-    return float(vals[idx]), vecs[:, idx], norm
+def eigenvalue_split(a: np.ndarray):
+    """(lambda_min, lambda_min > 1e-10 max|eigenvalue|) of (..., 6, 6) forms, one ``eigvalsh``."""
+    vals = np.linalg.eigvalsh(a)
+    lam = vals.min(axis=-1)
+    return lam, lam > _EIG_REL_TOL * np.abs(vals).max(axis=-1)
 
 
 def positivity_verdict(
@@ -179,7 +171,6 @@ def positivity_verdict(
     non-positive direction is returned as witness.
     """
     if method == "prefactor":
-        _require_non_degenerate(f)
         poly = tensor_weight_polynomials(*c.poisson_weights, f)
         if _polynomial_vanishes(poly):
             raise SingularCombination(
@@ -202,21 +193,23 @@ def eigenvalue_verdict(
 ) -> PositivityVerdict:
     """Eigenvalue-route verdict on Hbar = c4 H1 + c5 H2 + c6 H3 with ``weights`` (c4,c5,c6).
 
-    Positive iff the smallest eigenvalue exceeds 1e-10 times the spectral
-    norm; a non-positive eigenvalue's eigenvector is returned as witness.
+    The verdict is ``eigenvalue_split``'s; when the smallest eigenvalue is
+    not positive, its eigenvector (from ``eigh``) is returned as witness.
     Block prefactors are attached when ``f`` holds real, non-degenerate
     frequencies; the verdict itself needs neither.
     """
-    lam, vec, norm = eigenvalue_split(QuadraticForm(_hbar_matrix(weights, p)))
+    a = _hbar_matrix(weights, p)
+    lam, positive = eigenvalue_split(a)
+    witness = np.linalg.eigh(a)[1][:, 0] if lam <= 0.0 else None  # eigh sorts ascending
     pref = None
     if f is not None and not f.is_degenerate():
         pref = tuple(hbar_prefactors(*weights, f))
     return PositivityVerdict(
-        positive=bool(lam > _EIG_REL_TOL * norm),
+        positive=bool(positive),
         prefactors=pref,
-        witness=vec if lam <= 0.0 else None,
+        witness=witness,
         method="eigenvalue",
-        min_eigenvalue=lam,
+        min_eigenvalue=float(lam),
     )
 
 
@@ -313,7 +306,7 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
 
     The result's columns are allocated once and filled one axis1 row at a
     time: one stacked duality solve, then the singularity mask, the block
-    prefactors, one stacked ``eigvalsh`` over the row's non-singular cells
+    prefactors, one ``eigenvalue_split`` over the row's non-singular cells
     and both verdicts run as array expressions over the row and land in its
     slice through that mask.  A singular tensor combination (from the
     duality or the tensor-weight polynomials) is recorded as a cell status
@@ -343,10 +336,8 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
         ok = dual & ~_polynomial_vanishes(tensor_weight_polynomials(*tensor, f))
         weights = ham[ok].T
         pref = hbar_prefactors(*weights, f)
-        vals = np.linalg.eigvalsh(_hbar_matrix(weights, p))
-        lam = vals.min(axis=-1)
+        lam, by_eig = eigenvalue_split(_hbar_matrix(weights, p))
         by_pref = np.all(pref > 0.0, axis=-1)
-        by_eig = lam > _EIG_REL_TOL * np.abs(vals).max(axis=-1)
         verdict[i, ok] = np.where(by_pref, "positive", "not_positive")
         min_eigenvalue[i, ok] = lam
         prefactors[i, ok] = pref

@@ -367,24 +367,15 @@ def _substitution(r: Representation, part) -> np.ndarray:
     return part(np.asarray(r.params3d.a))[:, None] * np.roll(x, 1, axis=1) + K @ x
 
 
-def _equation_weight_vectors(r: Representation, p: PUParams) -> np.ndarray:
-    """Per equation, the coefficients of (q, q'', q'''', q'''''') after substitution.
-
-    Substituting the projection into equation i and collecting derivatives of
-    the arbitrary function q leaves a 4-vector w_i; the equation is
-    oscillator-equivalent iff w_i = lambda (gamma, beta, alpha, 1) with
-    lambda != 0, and trivially vanishing iff w_i = 0 identically.
-    """
-    return _substitution(r, np.asarray)
-
-
 def equivalence_check(r: Representation, p: PUParams, trajectory=None) -> EquivalenceReport:
     """Classify each second-order equation and verify the family's pattern.
 
-    Classification is a matrix identity on the weight vectors (so "trivially
-    vanishing" means the zero functional, not merely small along one orbit);
-    when a trajectory is supplied, the residuals along it are verified as
-    well.  A mismatch with the family's declared pattern raises.
+    Classification is a matrix identity on the weight vectors w_i, the
+    coefficients of (q, q'', q'''', q'''''') in equation i after substitution:
+    oscillator-equivalent iff w_i = lambda (gamma, beta, alpha, 1) with
+    lambda != 0, trivially vanishing iff w_i = 0 (the zero functional, not
+    merely small along one orbit); when a trajectory is supplied, the
+    residuals along it are verified as well.  A mismatch with the family's declared pattern raises.
 
     The weights are judged in the canonical units of ``canonical_units``,
     each within 1e-9 of the size of the terms summed into it, so the
@@ -393,7 +384,7 @@ def equivalence_check(r: Representation, p: PUParams, trajectory=None) -> Equiva
     """
     rho, pc = canonical_units(p)
     unit = rho ** np.array([-6.0, -4.0, -2.0, 0.0])  # the q^(2k) weight carries rho^(6-2k)
-    W = _equation_weight_vectors(r, p) * unit
+    W = _substitution(r, np.asarray) * unit
     terms = _substitution(r, np.abs) * unit
     target = np.array([pc.gamma, pc.beta, pc.alpha, 1.0])
     pattern, resids = [], []

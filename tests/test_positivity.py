@@ -251,7 +251,7 @@ def _reference_scan(grid, f):
                 x, y, "positive" if by_pref.positive else "not_positive",
                 by_eig.min_eigenvalue, by_pref.prefactors, by_pref.positive != by_eig.positive,
             ))
-            norms.append(pu6.positivity.eigenvalue_split(pu6.combined_form(c, p))[2])
+            norms.append(np.abs(np.linalg.eigvalsh(pu6.combined_form(c, p).matrix)).max())
     names = ("c_x", "c_y", "verdict", "min_eigenvalue", "prefactors", "methods_disagree")
     return {name: np.array(col) for name, col in zip(names, zip(*rows))}, np.array(norms)
 
@@ -288,6 +288,38 @@ def test_scan_matches_per_cell_reference(std_freqs, grid, singular):
     assert np.all(lam_err <= 1e-11 * norms[live]), lam_err.max()
     pref_err = np.abs(res.prefactors[live] - ref["prefactors"][live]).max(axis=-1)
     assert np.all(pref_err <= 1e-11 * np.abs(ref["prefactors"][live]).max(axis=-1)), pref_err.max()
+
+
+def test_scan_and_verdicts_share_one_eigenvalue_oracle(std_freqs, std_params, monkeypatch):
+    """``eigenvalue_split`` judges each scan row as one stack, and every single-form verdict.
+
+    The grid holds positive, non-positive and four singular cells, where a
+    tensor-weight polynomial vanishes exactly (P_13 at (-15, 54), (-20, 99)
+    and (-25, 144), P_23 at (-25, 84)): one call per row, over that row's
+    non-singular cells, with the verdicts and disagreements of the per-cell
+    routes, which call it once per cell.
+    """
+    calls = []
+    split = pu6.positivity.eigenvalue_split
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return split(a)
+
+    monkeypatch.setattr(pu6.positivity, "eigenvalue_split", counted)
+    grid = _grid(("c2", -30, -5), ("c3", 54, 159), "c1", 1.0, 6, 8)
+    res = pu6.region_scan(grid, std_freqs)
+    live = (res.verdict != "singular").reshape(grid.axis1.n, grid.axis2.n)
+    assert np.count_nonzero(~live) == 4 and 0 < res.positive_count() < live.sum()
+    assert calls == [(n, 6, 6) for n in live.sum(axis=1)]
+    calls.clear()
+    ref, _ = _reference_scan(grid, std_freqs)
+    assert calls == [(6, 6)] * live.sum()
+    np.testing.assert_array_equal(res.verdict, ref["verdict"])
+    np.testing.assert_array_equal(res.methods_disagree, ref["methods_disagree"])
+    calls.clear()
+    pu6.representation_positivity((98.0, -16.0, 0.4), std_params)
+    assert calls == [(6, 6)]
 
 
 def test_scan_threshold_cell_agrees_with_per_cell_solve():

@@ -193,7 +193,7 @@ def test_tb1_never_positive():
 
 
 def _loop_weight_vectors(r):
-    """The per-term loop that _equation_weight_vectors replaced, kept as its reference."""
+    """The per-term loop that _substitution replaced, kept as its reference."""
     a, b, g = r.params3d.a, r.params3d.b, r.params3d.g
     rows = [r.projection.matrix[i, 0::2] for i in range(3)]
     G = np.array([[0.0, g[0], g[1]], [g[0], 0.0, g[2]], [g[1], g[2], 0.0]])
@@ -214,11 +214,11 @@ def _loop_weight_vectors(r):
     ("Tc1", _params(TC1_FREQS), {"mu0": 1.0, "nu0": 1.0, "tau0": 1.0}),
 ])
 def test_weight_vectors_match_loop_reference(kind, p, choices):
-    from pu6.representations import _equation_weight_vectors, _substitution
+    from pu6.representations import _substitution
 
     rep = pu6.build_representation(kind, p, choices)
     terms = _substitution(rep, np.abs)
-    W = _equation_weight_vectors(rep, p)
+    W = _substitution(rep, np.asarray)
     assert np.all(np.abs(W) <= terms)
     # four terms at most per entry, each order rounding within a few eps of their sizes
     assert np.all(np.abs(W - _loop_weight_vectors(rep)) <= 8 * np.finfo(float).eps * terms)
@@ -226,9 +226,9 @@ def test_weight_vectors_match_loop_reference(kind, p, choices):
 
 def test_tb1_trivial_row_is_matrix_identity():
     rep = pu6.build_representation("Tb1", TB1_PARAMS, TB1_CHOICES)
-    from pu6.representations import _equation_weight_vectors
+    from pu6.representations import _substitution
 
-    W = _equation_weight_vectors(rep, TB1_PARAMS)
+    W = _substitution(rep, np.asarray)
     assert np.abs(W[2]).max() < 1e-12 * max(1.0, np.abs(W).max())
 
 
