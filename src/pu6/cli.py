@@ -24,6 +24,7 @@ import numpy as np
 from . import dynamics, positivity, representations, verification
 from .core import (
     PUParams,
+    canonical_units,
     frequencies_from_params,
     frequency_triple,
     params_from_frequencies,
@@ -100,8 +101,14 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
     else:
         omegas = None
         params = PUParams(*(config_value(model[k], k) for k in ("alpha", "beta", "gamma")))
-    if not all(map(math.isfinite, (params.alpha, params.beta, params.gamma))):
-        raise ConfigError(f"model parameters must be finite, got {params}")
+    # the one range rule: finite parameters, an exact map onto the canonical model (rho^6 and
+    # rho^-6 normal floats) and, unless gamma is given as 0, a finite det J3 = gamma^-8 there
+    finite = all(map(math.isfinite, (params.alpha, params.beta, params.gamma)))
+    rho, canonical = canonical_units(params) if finite else (math.inf, params)
+    if not 2.0 ** -170 <= rho <= 2.0 ** 170 or (
+            (params.gamma or has_omegas) and not abs(canonical.gamma) >= 2.0 ** -127):
+        raise ConfigError(f"model out of range: {params} needs a frequency scale rho within "
+                          "2^-170..2^170 and |gamma| >= 2^-127 rho^6 unless gamma is given as 0")
     seed = overrides.seed if overrides.seed is not None else raw.get("seed", 0)
     tol = overrides.tol if overrides.tol is not None else raw.get("tol")
     return RunConfig(
@@ -162,15 +169,11 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
             raise ConfigError(f"malformed interaction spec: {exc}") from exc
 
     p = cfg.params
-    divergent = None
+    sol = divergent = None
     if interaction is None:
-        try:
+        with contextlib.suppress(Pu6Error):
             sol = dynamics.solve_exact(cfg.frequencies, initial)
             divergent = dynamics.divergent_mode_present(sol)
-        except Pu6Error:
-            sol = None
-    else:
-        sol = None
 
     if method == "exact":
         if sol is None:
@@ -179,10 +182,12 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
     else:
         traj = dynamics.integrate_rk4(p, initial, t_end, dt, interaction)
 
+    hvals = dynamics.trajectory_hamiltonians(traj, p)  # overflow exits before any file is opened
     base = out or "trajectory"
     csv_path, json_path = base + ".csv", base + ".json"
     with open(csv_path, "w") as fh:
-        drift = dynamics.value_drift(dynamics.trajectory_csv(traj, p, fh))
+        dynamics.trajectory_csv(traj, hvals, fh)
+    drift = dynamics.value_drift(hvals)
     summary = {
         "method": traj.method,
         "dt": dt,

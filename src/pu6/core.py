@@ -358,11 +358,13 @@ def canonical_units(p: PUParams) -> tuple[float, PUParams]:
         F = rho D F_hat D^-1,  D A_k D = rho^(4k+2) A_hat_k,  J_k = rho^-(4k+1) D J_hat_k D.
 
     Every identity and every definiteness verdict is invariant under it, and
-    rho being a power of two makes the map exact in floating point.
+    rho being a power of two makes the map exact in floating point as long
+    as rho^6 and rho^-6 are normal floats (the CLI's range rule).
     """
     r = max(abs(p.alpha), math.sqrt(abs(p.beta)), abs(p.gamma) ** (1.0 / 3.0))
-    rho = 2.0 ** round(0.5 * math.log2(r)) if r > 0.0 else 1.0
-    return rho, PUParams(p.alpha / rho ** 2, p.beta / rho ** 4, p.gamma / rho ** 6)
+    k = round(0.5 * math.log2(r)) if r > 0.0 else 0
+    scaled = (math.ldexp(v, -n * k) for v, n in ((p.alpha, 2), (p.beta, 4), (p.gamma, 6)))
+    return 2.0 ** k, PUParams(*scaled)  # ldexp divides by rho^n exactly and cannot overflow
 
 
 @functools.lru_cache(maxsize=8)

@@ -369,7 +369,17 @@ def _linear_rk4(F: np.ndarray, dt: float, states: np.ndarray) -> None:
 def exact_trajectory(sol: ExactSolution, t_end: float, dt: float) -> Trajectory:
     n_steps = step_count(t_end, dt)
     times = np.arange(n_steps + 1) * dt
-    return Trajectory(times=times, states=sol.states(times), method="exact")
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = sol.states(times)
+    _require_finite("state", times, states)
+    return Trajectory(times=times, states=states, method="exact")
+
+
+def _require_finite(what: str, times: np.ndarray, values: np.ndarray) -> None:
+    """NonFinite naming ``what`` and the first time at which a row of ``values`` is not finite."""
+    bad = ~np.isfinite(values).all(axis=-1)
+    if bad.any():
+        raise NonFinite(f"{what} overflowed at t={times[np.argmax(bad)]:.6g}")
 
 
 def value_drift(values) -> np.ndarray:
@@ -391,13 +401,20 @@ _CSV_ROW = ",".join(["%.17g"] * 10) + "\n"
 _CSV_BLOCK = 1024  # rows per write
 
 
-def trajectory_csv(traj: Trajectory, p: PUParams, stream) -> list[np.ndarray]:
-    """Write t, the six state slots and H1..H3 per row, to 17 digits; return the H columns."""
-    _, hs, _ = _model_matrices(p)
+def trajectory_hamiltonians(traj: Trajectory, p: PUParams) -> list[np.ndarray]:
+    """H1..H3 along ``traj``; NonFinite at the first time where one, or its drift, is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        hvals = _form_values(traj.states, _model_matrices(p)[1])
+        drift = [(h - h[0]) / max(abs(h[0]), 1e-300) for h in hvals]  # value_drift's, per time
+    _require_finite("H", traj.times, np.column_stack(hvals))
+    _require_finite("H drift", traj.times, np.column_stack(drift))
+    return hvals
+
+
+def trajectory_csv(traj: Trajectory, hvals: Sequence[np.ndarray], stream) -> None:
+    """Write t, the six state slots and the H columns ``hvals`` per row, to 17 digits."""
     stream.write("t,q,qdot,qddot,q3t,q4t,q5t,H1,H2,H3\n")
-    hvals = _form_values(traj.states, hs)
     table = np.column_stack([traj.times, traj.states, *hvals])
     for start in range(0, len(table), _CSV_BLOCK):
         block = table[start:start + _CSV_BLOCK]
         stream.write((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
-    return hvals

@@ -201,9 +201,7 @@ def eigenvalue_verdict(
     a = _hbar_matrix(weights, p)
     lam, positive = eigenvalue_split(a)
     witness = np.linalg.eigh(a)[1][:, 0] if lam <= 0.0 else None  # eigh sorts ascending
-    pref = None
-    if f is not None and not f.is_degenerate():
-        pref = tuple(hbar_prefactors(*weights, f))
+    pref = tuple(hbar_prefactors(*weights, f)) if f is not None and not f.is_degenerate() else None
     return PositivityVerdict(
         positive=bool(positive),
         prefactors=pref,

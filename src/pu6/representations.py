@@ -373,9 +373,9 @@ def equivalence_check(r: Representation, p: PUParams, trajectory=None) -> Equiva
     Classification is a matrix identity on the weight vectors w_i, the
     coefficients of (q, q'', q'''', q'''''') in equation i after substitution:
     oscillator-equivalent iff w_i = lambda (gamma, beta, alpha, 1) with
-    lambda != 0, trivially vanishing iff w_i = 0 (the zero functional, not
-    merely small along one orbit); when a trajectory is supplied, the
-    residuals along it are verified as well.  A mismatch with the family's declared pattern raises.
+    lambda != 0, trivial iff w_i = 0 (the zero functional, not merely small
+    along one orbit).  Residuals along a supplied trajectory are verified
+    too, and a mismatch with the family's declared pattern raises.
 
     The weights are judged in the canonical units of ``canonical_units``,
     each within 1e-9 of the size of the terms summed into it, so the

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,38 @@ def test_simulate_overflow_exit_code(tmp_path):
         ["--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path / "x"), "simulate"]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "sim, message",
+    [  # finite states whose H overflow, and an exact solution that overflows itself
+        ({"dt": 0.1, "t_end": 20.0}, "H overflowed at t=0"),
+        ({"method": "exact", "dt": 0.5, "t_end": 1e5}, "state overflowed at t=15947.5"),
+    ],
+)
+def test_simulate_overflow_exits_3_before_writing(tmp_path, capsys, sim, message):
+    cfg = {"model": {"omegas": [1, 1, 1]}, "simulate": dict(sim, initial=[1e300] * 6)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["--config", _write(tmp_path, "c.json", cfg), "--out",
+                         str(tmp_path / "run"), "simulate"])
+    assert code == 3
+    assert capsys.readouterr().err == f"integration overflow: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == ["c.json"]
+
+
+def test_simulate_overflowing_drift_exits_3(tmp_path, capsys):
+    # H1 = -7 qdd^2 - q4t qdd vanishes at (0, 0, a, 0, -7a, 0); one step later its rounding,
+    # about 1e25 for a = 1e20, over the 1e-300 floor overflows, though every H is finite
+    cfg = {"model": {"omegas": [3, 2, 1]},
+           "simulate": {"dt": 1e-3, "t_end": 1.0, "initial": [0, 0, 1e20, 0, -7e20, 0]}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["--config", _write(tmp_path, "c.json", cfg), "--out",
+                         str(tmp_path / "run"), "simulate"])
+    assert code == 3
+    assert capsys.readouterr().err == "integration overflow: H drift overflowed at t=0.001\n"
+    assert sorted(os.listdir(tmp_path)) == ["c.json"]
 
 
 @pytest.mark.parametrize(
@@ -490,6 +523,25 @@ def test_malformed_input_exit_2(tmp_path, capsys, text, command):
     assert cli.main(["--config", str(path), "--out", str(tmp_path / "o.json"), command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "model",
+    [{"alpha": 1e300, "beta": 1e300, "gamma": 1e300}, {"alpha": 1e160, "beta": 1, "gamma": 1},
+     {"alpha": 3, "beta": 2, "gamma": 1e-300}, {"omegas": [1e-80, 2e-81, 1e-81]}],
+)
+@pytest.mark.parametrize("command", ["simulate", "verify", "scan", "Ta1", "Ta2", "Tb1", "Tc1"])
+def test_out_of_range_model_exit_2(tmp_path, capsys, model, command):
+    # overflowing scales, a gamma whose det J3 = gamma^-8 overflows, and positive
+    # frequencies whose gamma underflows to 0
+    cfg = {"model": model, "represent": {"kind": command}, **json.loads("{%s}" % (_SCAN_N % 2))}
+    argv = ["--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv + [command if command in cli._COMMANDS else "represent"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: model out of range: ") and err.count("\n") == 1
 
 
 def test_negative_tol_flag_exit_2(tmp_path, capsys):
