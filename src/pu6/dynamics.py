@@ -354,12 +354,14 @@ def _linear_rk4(F: np.ndarray, dt: float, states: np.ndarray) -> None:
         linear = size <= _RK4_GROWTH * np.arange(1, _RK4_BLOCK + 1) * size[0]
         block = max(1, int(linear.cumprod().sum()))
         wide = powers[:block].transpose(1, 0, 2).reshape(DIM, block * DIM)  # D_i^T side by side
+        q6 = qt * (6.0 / dt)
+        stage_sums = np.empty((n, DIM))
         for j in range(0, n, block):
             m = min(block, n - j)
             scale = math.ldexp(1.0, min(math.frexp(np.abs(states[j]).max())[1], 1023))
             u = states[j] / scale
             states[j + 1:j + 1 + m] = scale * (u + (u @ wide[:, :m * DIM]).reshape(m, DIM))
-        stage_sums = states[:-1] @ (qt * (6.0 / dt))
+            stage_sums[j:j + m] = states[j:j + m] @ q6  # small enough that BLAS starts no threads
     bad = ~(np.isfinite(states[1:]) & np.isfinite(stage_sums)).all(axis=1)
     if bad.any():
         k = int(np.argmax(bad))

@@ -17,6 +17,7 @@ the one pair table ``FrequencyTriple.pairs``, in ``PAIRS`` order.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,6 +36,9 @@ from .hierarchy import CombinationCoeffs, _hbar_matrix, _tensor_duality, _weight
 from .hierarchy import coeffs_from_tensor  # noqa: F401  perfbench/tests checks its rebinding here
 
 _EIG_REL_TOL = 1e-10  # eigenvalue rule: positive iff lambda_min > _EIG_REL_TOL * spectral norm
+_PARITY = np.array([[0, 2, 4], [1, 3, 5]])  # even and odd slots under time reversal
+_BLOCKS = (Ellipsis, _PARITY[:, :, None], _PARITY[:, None, :])  # (..., 6, 6) -> (..., 2, 3, 3)
+_CROSS = np.add.outer(np.arange(DIM), np.arange(DIM)) % 2 == 1  # entries coupling the two
 
 
 @dataclass(frozen=True)
@@ -154,8 +158,21 @@ def _polynomial_vanishes(poly: np.ndarray):
 
 
 def eigenvalue_split(a: np.ndarray):
-    """(lambda_min, lambda_min > 1e-10 max|eigenvalue|) of (..., 6, 6) forms, one ``eigvalsh``."""
-    vals = np.linalg.eigvalsh(a)
+    """(lambda_min, lambda_min > 1e-10 max|eigenvalue|) of (..., 6, 6) forms, one ``eigvalsh``.
+
+    Time reversal T = diag(1, -1, 1, -1, 1, -1) fixes every H_k exactly
+    (T H_k T = H_k: no builder writes an entry with i + j odd), so every
+    combination of them is block-diagonal over the even slots (0, 2, 4) and
+    the odd slots (1, 3, 5), and its spectrum is the union of the two 3x3
+    blocks'.  One constant fancy index gathers both blocks of every form
+    into a (..., 2, 3, 3) stack for the one ``eigvalsh``.  A form with a
+    cross entry that is not exactly zero is no such combination: it raises
+    ``ValueError``.
+    """
+    a = np.asarray(a)
+    if a[..., _CROSS].any():  # NaN counts as non-zero
+        raise ValueError("eigenvalue_split needs forms with no entry coupling even and odd slots")
+    vals = np.linalg.eigvalsh(a[_BLOCKS]).reshape(a.shape[:-1])
     lam = vals.min(axis=-1)
     return lam, lam > _EIG_REL_TOL * np.abs(vals).max(axis=-1)
 
@@ -299,6 +316,13 @@ def _axis_values(ax: AxisSpec) -> np.ndarray:
     return np.linspace(ax.lo, ax.hi, ax.n)
 
 
+def _worker_count(rows: int) -> int:
+    """Scan threads: the CPUs this process may run on, at most one per grid row."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(len(os.sched_getaffinity(0)), rows)
+    return min(os.cpu_count() or 1, rows)
+
+
 def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
     """Evaluate both positivity routes on every grid cell.
 
@@ -311,6 +335,14 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
     instead of aborting the scan.  Disagreements between the two routes are
     expected only inside the boundary band where a prefactor crosses zero.
 
+    Rows are independent and each writes only its own slices, so they run
+    on a thread pool with one worker per CPU the process may use (at most
+    one per row); the stacked SVD and ``eigvalsh`` release the GIL.  Every
+    cell is computed by the same arithmetic whatever the pool size or the
+    order in which rows finish, so the result, and the CSV written from
+    it, do not depend on either.  An exception raised in a row cancels the
+    rows not yet started and propagates unchanged.
+
     The duality is the 36x3 least-squares system of ``coeffs_from_tensor``,
     solved by the same routine (``hierarchy._tensor_duality``) for the whole
     row at once, so every cell gets the weights and the singular verdict of
@@ -319,6 +351,8 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
     cells from the same least-squares system, whose error near the boundary
     band exceeds the 1e-10 eigenvalue bound, so a more exact solver fails it.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     _require_non_degenerate(f)
     p = params_from_frequencies(f)
     xs, ys = _axis_values(grid.axis1), _axis_values(grid.axis2)
@@ -327,7 +361,8 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
     min_eigenvalue = np.full(shape, np.nan)
     prefactors = np.full(shape + (3,), np.nan)
     methods_disagree = np.zeros(shape, dtype=bool)
-    for i, x in enumerate(xs.tolist()):
+
+    def fill_row(i: int, x: float) -> None:
         row = {grid.axis1.name: x, grid.axis2.name: ys, grid.fixed_name: grid.fixed_value}
         tensor = np.broadcast_arrays(*(row[n] for n in _AXIS_NAMES))
         ham, _, dual = _tensor_duality(tensor, p)
@@ -340,6 +375,10 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
         min_eigenvalue[i, ok] = lam
         prefactors[i, ok] = pref
         methods_disagree[i, ok] = by_pref != by_eig
+
+    with ThreadPoolExecutor(_worker_count(xs.size)) as pool:
+        for _ in pool.map(fill_row, range(xs.size), xs.tolist()):
+            pass  # a failed row re-raises here, and map cancels the rows not yet started
     return RegionScanResult(
         grid, f, np.repeat(xs, ys.size), np.tile(ys, xs.size), verdict.ravel(),
         min_eigenvalue.ravel(), prefactors.reshape(-1, 3), methods_disagree.ravel(),

@@ -422,3 +422,79 @@ def test_model_matrices_cache(std_params):
     for a, b in zip((*js, *hs, F), (*other[0], *other[1], other[2])):
         assert not np.array_equal(a, b)
     assert _model_matrices(pu6.PUParams(1.0, 2.0, 0.0))[0] == ()
+
+
+# ---------------------------------------------------------------------------
+# time-reversal parity
+# ---------------------------------------------------------------------------
+
+_ODD = np.add.outer(np.arange(6), np.arange(6)) % 2 == 1  # entries with i + j odd
+_PARITY_MODELS = {
+    "321": pu6.params_from_frequencies(pu6.frequency_triple(3.0, 2.0, 1.0)),
+    "100x321": pu6.params_from_frequencies(pu6.frequency_triple(300.0, 200.0, 100.0)),
+    "221": pu6.params_from_frequencies(pu6.frequency_triple(2.0, 2.0, 1.0)),
+    "non_oscillatory": pu6.PUParams(1.0, -5.0, 1.0),
+    "gamma0": pu6.PUParams(3.0, 3.0, 0.0),  # H1..H3 only, J2 and J3 do not exist
+}
+
+
+@pytest.mark.parametrize("p", _PARITY_MODELS.values(), ids=_PARITY_MODELS.keys())
+def test_time_reversal_parity_is_exact(p):
+    """T = diag(1,-1,1,-1,1,-1) fixes every H_k and flips every J_k, with exact zeros."""
+    for k in (1, 2, 3):
+        assert np.all(pu6.hamiltonian_form(k, p).matrix[_ODD] == 0.0)
+    for k in (1, 2, 3) if p.gamma != 0.0 else (1,):
+        j = pu6.poisson_tensor(k, p).matrix
+        assert np.all(j[~_ODD] == 0.0) and np.any(j[_ODD] != 0.0)
+
+
+def _positive_weights(p):
+    """(c4, c5, c6) with every block prefactor 1, for distinct real frequencies; else none."""
+    try:
+        f = pu6.frequencies_from_params(p)
+    except pu6.ComplexFrequencies:
+        return np.empty((0, 3))
+    if f.is_degenerate():
+        return np.empty((0, 3))
+    m, _, _, den = f.pairs
+    return np.linalg.solve(np.vander(m, 3, increasing=True), den)[None, :]
+
+
+@pytest.mark.parametrize("p", _PARITY_MODELS.values(), ids=_PARITY_MODELS.keys())
+def test_eigenvalue_split_matches_full_spectrum(p, rng):
+    """The two 3x3 parity blocks give the 6x6 lambda_min to 1e-14 ||A||, and the same verdict."""
+    hs = [pu6.hamiltonian_form(k, p).matrix for k in (1, 2, 3)]
+    scales = [np.abs(h).max() for h in hs]
+    weights = rng.standard_normal((300, 3)) / scales  # each H_k's share of similar size
+    weights = np.vstack([weights, _positive_weights(p), np.eye(3)])
+    a = pu6.hierarchy._hbar_matrix(weights.T, p)
+    lam, positive = pu6.positivity.eigenvalue_split(a)
+    full = np.linalg.eigvalsh(a)
+    norm = np.abs(full).max(axis=-1)
+    assert lam.shape == positive.shape == (len(weights),)
+    assert np.all(np.abs(lam - full[:, 0]) <= 1e-14 * norm)
+    np.testing.assert_array_equal(positive, full[:, 0] > 1e-10 * norm)
+    stacked = pu6.positivity.eigenvalue_split(a[:300].reshape(3, 100, 6, 6))  # any leading shape
+    np.testing.assert_array_equal(stacked[0], lam[:300].reshape(3, 100))
+
+
+def test_eigenvalue_split_positive_forms_are_found(std_params):
+    lam, positive = pu6.positivity.eigenvalue_split(
+        pu6.hierarchy._hbar_matrix(_positive_weights(std_params).T, std_params))
+    assert positive.tolist() == [True] and lam[0] > 0.0
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (5, 2), (3, 0)])
+def test_eigenvalue_split_refuses_a_cross_entry(std_params, entry):
+    """One non-zero entry coupling an even and an odd slot is a programming error."""
+    a = pu6.hierarchy._hbar_matrix(np.array([[1.0, 0.5], [-2.0, 0.1], [0.3, 0.0]]), std_params)
+    a[1][entry] = 1e-300
+    with pytest.raises(ValueError, match="even and odd"):
+        pu6.positivity.eigenvalue_split(a)
+    with pytest.raises(ValueError):
+        pu6.positivity.eigenvalue_split(a[1])
+    a[1][entry] = np.nan
+    with pytest.raises(ValueError):
+        pu6.positivity.eigenvalue_split(a)
+    a[1][entry] = 0.0
+    pu6.positivity.eigenvalue_split(a)

@@ -1,5 +1,8 @@
 import csv
 import io
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -297,7 +300,8 @@ def test_scan_and_verdicts_share_one_eigenvalue_oracle(std_freqs, std_params, mo
     tensor-weight polynomial vanishes exactly (P_13 at (-15, 54), (-20, 99)
     and (-25, 144), P_23 at (-25, 84)): one call per row, over that row's
     non-singular cells, with the verdicts and disagreements of the per-cell
-    routes, which call it once per cell.
+    routes, which call it once per cell.  Rows run on a thread pool and
+    finish in any order, so the row calls are compared as sorted shapes.
     """
     calls = []
     split = pu6.positivity.eigenvalue_split
@@ -311,7 +315,7 @@ def test_scan_and_verdicts_share_one_eigenvalue_oracle(std_freqs, std_params, mo
     res = pu6.region_scan(grid, std_freqs)
     live = (res.verdict != "singular").reshape(grid.axis1.n, grid.axis2.n)
     assert np.count_nonzero(~live) == 4 and 0 < res.positive_count() < live.sum()
-    assert calls == [(n, 6, 6) for n in live.sum(axis=1)]
+    assert sorted(calls) == sorted((n, 6, 6) for n in live.sum(axis=1))
     calls.clear()
     ref, _ = _reference_scan(grid, std_freqs)
     assert calls == [(6, 6)] * live.sum()
@@ -320,6 +324,80 @@ def test_scan_and_verdicts_share_one_eigenvalue_oracle(std_freqs, std_params, mo
     calls.clear()
     pu6.representation_positivity((98.0, -16.0, 0.4), std_params)
     assert calls == [(6, 6)]
+
+
+README_GRID = _grid(("c2", -30, 0), ("c3", 0, 150), "c1", 1.0, 200, 200)
+
+
+def _force_cpus(monkeypatch, n):
+    """Make the process see ``n`` usable CPUs, wherever the scan reads them from."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def test_scan_csv_does_not_depend_on_pool_size(std_freqs, monkeypatch):
+    """The README grid gives the same CSV bytes on one scan thread and on four.
+
+    Every row runs on a pool thread, never on the caller's, and the pool's
+    threads are gone when ``region_scan`` returns.  A short switch interval
+    makes the threads interleave often, so a row writing outside its own
+    slices would show in the bytes.
+    """
+    baseline = threading.active_count()
+    duality = pu6.positivity._tensor_duality
+    texts = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for n in (1, 4):
+            _force_cpus(monkeypatch, n)
+            assert pu6.positivity._worker_count(README_GRID.axis1.n) == n
+            assert pu6.positivity._worker_count(3) == min(n, 3)
+            threads = set()
+
+            def tracked(tensor, p):
+                threads.add(threading.get_ident())
+                return duality(tensor, p)
+
+            monkeypatch.setattr(pu6.positivity, "_tensor_duality", tracked)
+            buf = io.StringIO()
+            pu6.region_scan(README_GRID, std_freqs).write_csv(buf)
+            texts.append(buf.getvalue())
+            assert 1 <= len(threads) <= n and threading.get_ident() not in threads
+            assert threading.active_count() == baseline
+    finally:
+        sys.setswitchinterval(interval)
+    assert texts[0] == texts[1]
+    assert texts[0].count("\n") == 1 + README_GRID.axis1.n * README_GRID.axis2.n
+
+
+class _RowFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_scan_row_exception_propagates(std_freqs, monkeypatch, cpus):
+    """An exception raised in row 7 leaves ``region_scan`` with its own type, and no thread.
+
+    The rows not yet started when it is raised are cancelled, not run.
+    """
+    baseline = threading.active_count()
+    _force_cpus(monkeypatch, cpus)
+    duality = pu6.positivity._tensor_duality
+    row7 = np.linspace(README_GRID.axis1.lo, README_GRID.axis1.hi, README_GRID.axis1.n)[7]
+    started = []
+
+    def failing(tensor, p):
+        started.append(tensor[1][0])
+        if tensor[1][0] == row7:  # axis1 is c2, constant along the row
+            raise _RowFailure("row 7")
+        return duality(tensor, p)
+
+    monkeypatch.setattr(pu6.positivity, "_tensor_duality", failing)
+    with pytest.raises(_RowFailure, match="row 7"):
+        pu6.region_scan(README_GRID, std_freqs)
+    assert threading.active_count() == baseline
+    assert row7 in started and len(started) < README_GRID.axis1.n
 
 
 def test_scan_threshold_cell_agrees_with_per_cell_solve():
