@@ -232,7 +232,10 @@ def cmd_scan(cfg: RunConfig, out: Optional[str]) -> int:
     if sec is None:
         raise ConfigError("scan requires a 'scan' section with the grid spec")
     grid = positivity.GridSpec.from_json(sec)
-    result = positivity.region_scan(grid, cfg.frequencies)
+    f = cfg.frequencies
+    if f.is_degenerate():  # checked before the scan runs and before the output is opened
+        raise ConfigError(f"scan needs pairwise distinct frequencies, got {f.omegas}")
+    result = positivity.region_scan(grid, f)
     with _output(out) as stream:
         result.write_csv(stream)
     print(

@@ -208,7 +208,7 @@ def coeffs_from_tensor(c1: float, c2: float, c3: float, p: PUParams) -> Combinat
     """Hamiltonian weights (c4,c5,c6) dual to given tensor weights (c1,c2,c3).
 
     Least squares on Jbar (c4 A1 + c5 A2 + c6 A3) = F, one cell of the solve
-    ``region_scan`` runs per row; raises when the tensor combination cannot
+    ``region_scan`` runs per block; raises when the tensor combination cannot
     reproduce the flow (rank deficient, or residual above 1e-8 of max|F|).
     """
     ham, resid, ok = _tensor_duality((c1, c2, c3), p)

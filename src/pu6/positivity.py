@@ -39,6 +39,7 @@ _EIG_REL_TOL = 1e-10  # eigenvalue rule: positive iff lambda_min > _EIG_REL_TOL 
 _PARITY = np.array([[0, 2, 4], [1, 3, 5]])  # even and odd slots under time reversal
 _BLOCKS = (Ellipsis, _PARITY[:, :, None], _PARITY[:, None, :])  # (..., 6, 6) -> (..., 2, 3, 3)
 _CROSS = np.add.outer(np.arange(DIM), np.arange(DIM)) % 2 == 1  # entries coupling the two
+_SCAN_BLOCK = 1024  # grid cells per region_scan pool task
 
 
 @dataclass(frozen=True)
@@ -281,9 +282,6 @@ class GridSpec:
             raise ConfigError(f"malformed grid spec: {exc}") from exc
 
 
-_CSV_ROW = "%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g\n"
-
-
 @dataclass
 class RegionScanResult:
     """Per-cell columns in row-major axis1-outer order; singular cells hold NaN."""
@@ -301,13 +299,19 @@ class RegionScanResult:
         return int(np.count_nonzero(self.verdict == "positive"))
 
     def write_csv(self, stream) -> None:
-        """Header plus one line per cell, 17 significant digits, one grid row per write."""
+        """Header plus one line per cell, 17 significant digits, one write per axis1 value.
+
+        In the row-major layout each axis value is formatted once: the c_y
+        strings once per grid, each c_x string into its row's format string.
+        """
         stream.write("c_x,c_y,verdict,min_eigenvalue,prefactor_1,prefactor_2,prefactor_3\n")
-        cols = (self.c_x, self.c_y, self.verdict, self.min_eigenvalue, *self.prefactors.T)
         n = self.grid.axis2.n
+        ys = ["%.17g" % y for y in self.c_y[:n].tolist()]
+        cols = (self.verdict, self.min_eigenvalue, *self.prefactors.T)
         for start in range(0, self.verdict.size, n):
-            rows = zip(*(c[start:start + n].tolist() for c in cols))
-            stream.write("".join(_CSV_ROW % row for row in rows))
+            line = "%.17g,%%s,%%s,%%.17g,%%.17g,%%.17g,%%.17g\n" % self.c_x[start]
+            rows = zip(ys, *(c[start:start + n].tolist() for c in cols))
+            stream.write("".join(line % row for row in rows))
 
 
 def _axis_values(ax: AxisSpec) -> np.ndarray:
@@ -316,37 +320,38 @@ def _axis_values(ax: AxisSpec) -> np.ndarray:
     return np.linspace(ax.lo, ax.hi, ax.n)
 
 
-def _worker_count(rows: int) -> int:
-    """Scan threads: the CPUs this process may run on, at most one per grid row."""
+def _worker_count(blocks: int) -> int:
+    """Scan threads: the CPUs this process may run on, at most one per block of cells."""
     if hasattr(os, "sched_getaffinity"):
-        return min(len(os.sched_getaffinity(0)), rows)
-    return min(os.cpu_count() or 1, rows)
+        return min(len(os.sched_getaffinity(0)), blocks)
+    return min(os.cpu_count() or 1, blocks)
 
 
 def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
     """Evaluate both positivity routes on every grid cell.
 
-    The result's columns are allocated once and filled one axis1 row at a
-    time: one stacked duality solve, then the singularity mask, the block
-    prefactors, one ``eigenvalue_split`` over the row's non-singular cells
-    and both verdicts run as array expressions over the row and land in its
-    slice through that mask.  A singular tensor combination (from the
-    duality or the tensor-weight polynomials) is recorded as a cell status
-    instead of aborting the scan.  Disagreements between the two routes are
-    expected only inside the boundary band where a prefactor crosses zero.
+    The flat row-major columns are allocated once and filled in blocks of
+    ``_SCAN_BLOCK`` cells: one stacked duality solve, the singularity mask,
+    the prefactors and one ``eigenvalue_split`` over the block's non-singular
+    cells.  A singular tensor combination (from the duality or the
+    tensor-weight polynomials) is a cell status, not an abort.  The two
+    routes may disagree only in the band where a prefactor crosses zero.
 
-    Rows are independent and each writes only its own slices, so they run
-    on a thread pool with one worker per CPU the process may use (at most
-    one per row); the stacked SVD and ``eigvalsh`` release the GIL.  Every
-    cell is computed by the same arithmetic whatever the pool size or the
-    order in which rows finish, so the result, and the CSV written from
-    it, do not depend on either.  An exception raised in a row cancels the
-    rows not yet started and propagates unchanged.
+    Blocks run on a thread pool, one worker per usable CPU (at most one per
+    block), and each writes only its own slices; the stacked SVD and
+    ``eigvalsh`` release the GIL.  A task per 200-cell grid row made ~40
+    short numpy calls and two workers spent much of their time handing the
+    GIL over (README grid: 0.61 s on one worker, 0.37-0.50 s on two, and
+    0.26-0.28 s on two with 1024-cell blocks).  Larger blocks are no faster
+    but raise peak RSS (scan-grid: 126.1 MB at 1024, 131.4 MB at 4096 cells).
+    Stacked LAPACK calls treat each matrix on its own, so every cell's bits,
+    and the CSV, depend on neither the block size nor the pool.  An
+    exception in a block cancels the blocks not yet started and propagates.
 
     The duality is the 36x3 least-squares system of ``coeffs_from_tensor``,
     solved by the same routine (``hierarchy._tensor_duality``) for the whole
-    row at once, so every cell gets the weights and the singular verdict of
-    ``coeffs_from_tensor``.  It is not an exact 3x3 solve of the duality
+    block at once, so every cell gets the weights and the singular verdict
+    of ``coeffs_from_tensor``.  It is not an exact 3x3 solve of the duality
     table: the benchmark's scan check (``perfbench/checks.py``) recomputes
     cells from the same least-squares system, whose error near the boundary
     band exceeds the 1e-10 eigenvalue bound, so a more exact solver fails it.
@@ -356,30 +361,31 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
     _require_non_degenerate(f)
     p = params_from_frequencies(f)
     xs, ys = _axis_values(grid.axis1), _axis_values(grid.axis2)
-    shape = (xs.size, ys.size)
-    verdict = np.full(shape, "singular", dtype="<U12")  # 12 = len("not_positive")
-    min_eigenvalue = np.full(shape, np.nan)
-    prefactors = np.full(shape + (3,), np.nan)
-    methods_disagree = np.zeros(shape, dtype=bool)
+    c_x, c_y = np.repeat(xs, ys.size), np.tile(ys, xs.size)
+    verdict = np.full(c_x.size, "singular", dtype="<U12")  # 12 = len("not_positive")
+    min_eigenvalue = np.full(c_x.size, np.nan)
+    prefactors = np.full((c_x.size, 3), np.nan)
+    methods_disagree = np.zeros(c_x.size, dtype=bool)
 
-    def fill_row(i: int, x: float) -> None:
-        row = {grid.axis1.name: x, grid.axis2.name: ys, grid.fixed_name: grid.fixed_value}
-        tensor = np.broadcast_arrays(*(row[n] for n in _AXIS_NAMES))
+    def fill_block(start: int) -> None:
+        cells = slice(start, start + _SCAN_BLOCK)
+        block = {grid.axis1.name: c_x[cells], grid.axis2.name: c_y[cells],
+                 grid.fixed_name: grid.fixed_value}
+        tensor = np.broadcast_arrays(*(block[n] for n in _AXIS_NAMES))
         ham, _, dual = _tensor_duality(tensor, p)
         ok = dual & ~_polynomial_vanishes(tensor_weight_polynomials(*tensor, f))
         weights = ham[ok].T
         pref = hbar_prefactors(*weights, f)
         lam, by_eig = eigenvalue_split(_hbar_matrix(weights, p))
         by_pref = np.all(pref > 0.0, axis=-1)
-        verdict[i, ok] = np.where(by_pref, "positive", "not_positive")
-        min_eigenvalue[i, ok] = lam
-        prefactors[i, ok] = pref
-        methods_disagree[i, ok] = by_pref != by_eig
+        # basic slices are views, so each masked write lands in the columns
+        verdict[cells][ok] = np.where(by_pref, "positive", "not_positive")
+        min_eigenvalue[cells][ok] = lam
+        prefactors[cells][ok] = pref
+        methods_disagree[cells][ok] = by_pref != by_eig
 
-    with ThreadPoolExecutor(_worker_count(xs.size)) as pool:
-        for _ in pool.map(fill_row, range(xs.size), xs.tolist()):
-            pass  # a failed row re-raises here, and map cancels the rows not yet started
-    return RegionScanResult(
-        grid, f, np.repeat(xs, ys.size), np.tile(ys, xs.size), verdict.ravel(),
-        min_eigenvalue.ravel(), prefactors.reshape(-1, 3), methods_disagree.ravel(),
-    )
+    starts = range(0, c_x.size, _SCAN_BLOCK)
+    with ThreadPoolExecutor(_worker_count(len(starts))) as pool:
+        for _ in pool.map(fill_block, starts):
+            pass  # a failed block re-raises here, and map cancels the blocks not yet started
+    return RegionScanResult(grid, f, c_x, c_y, verdict, min_eigenvalue, prefactors, methods_disagree)

@@ -407,6 +407,24 @@ def test_scan_non_finite_grid(tmp_path, old, new):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("omegas", [[2, 2, 1], [200, 200, 100], [2, 1, 1], [1, 1, 1]])
+def test_scan_degenerate_frequencies_exit_2(tmp_path, capsys, omegas):
+    """A scan needs distinct frequencies: a degenerate model is a config error, not exit 1.
+
+    It is refused before the scan runs and before the output file is opened.
+    """
+    cfg = _scan_cfg()
+    cfg["model"]["omegas"] = omegas
+    out = tmp_path / "region.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["--config", _write(tmp_path, "c.json", cfg), "--out", str(out), "scan"])
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: scan needs pairwise distinct frequencies, got (")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # represent
 # ---------------------------------------------------------------------------

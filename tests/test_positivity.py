@@ -294,14 +294,15 @@ def test_scan_matches_per_cell_reference(std_freqs, grid, singular):
 
 
 def test_scan_and_verdicts_share_one_eigenvalue_oracle(std_freqs, std_params, monkeypatch):
-    """``eigenvalue_split`` judges each scan row as one stack, and every single-form verdict.
+    """``eigenvalue_split`` judges each scan block as one stack, and every single-form verdict.
 
     The grid holds positive, non-positive and four singular cells, where a
     tensor-weight polynomial vanishes exactly (P_13 at (-15, 54), (-20, 99)
-    and (-25, 144), P_23 at (-25, 84)): one call per row, over that row's
+    and (-25, 144), P_23 at (-25, 84)).  With 7-cell blocks, which straddle
+    the 8-cell rows, the scan makes one call per block, over that block's
     non-singular cells, with the verdicts and disagreements of the per-cell
-    routes, which call it once per cell.  Rows run on a thread pool and
-    finish in any order, so the row calls are compared as sorted shapes.
+    routes, which call it once per cell.  Blocks run on a thread pool and
+    finish in any order, so the block calls are compared as sorted shapes.
     """
     calls = []
     split = pu6.positivity.eigenvalue_split
@@ -311,11 +312,12 @@ def test_scan_and_verdicts_share_one_eigenvalue_oracle(std_freqs, std_params, mo
         return split(a)
 
     monkeypatch.setattr(pu6.positivity, "eigenvalue_split", counted)
+    monkeypatch.setattr(pu6.positivity, "_SCAN_BLOCK", 7)
     grid = _grid(("c2", -30, -5), ("c3", 54, 159), "c1", 1.0, 6, 8)
     res = pu6.region_scan(grid, std_freqs)
-    live = (res.verdict != "singular").reshape(grid.axis1.n, grid.axis2.n)
+    live = res.verdict != "singular"
     assert np.count_nonzero(~live) == 4 and 0 < res.positive_count() < live.sum()
-    assert sorted(calls) == sorted((n, 6, 6) for n in live.sum(axis=1))
+    assert sorted(calls) == sorted((live[i:i + 7].sum(), 6, 6) for i in range(0, live.size, 7))
     calls.clear()
     ref, _ = _reference_scan(grid, std_freqs)
     assert calls == [(6, 6)] * live.sum()
@@ -338,9 +340,9 @@ def _force_cpus(monkeypatch, n):
 def test_scan_csv_does_not_depend_on_pool_size(std_freqs, monkeypatch):
     """The README grid gives the same CSV bytes on one scan thread and on four.
 
-    Every row runs on a pool thread, never on the caller's, and the pool's
+    Every block runs on a pool thread, never on the caller's, and the pool's
     threads are gone when ``region_scan`` returns.  A short switch interval
-    makes the threads interleave often, so a row writing outside its own
+    makes the threads interleave often, so a block writing outside its own
     slices would show in the bytes.
     """
     baseline = threading.active_count()
@@ -351,7 +353,7 @@ def test_scan_csv_does_not_depend_on_pool_size(std_freqs, monkeypatch):
     try:
         for n in (1, 4):
             _force_cpus(monkeypatch, n)
-            assert pu6.positivity._worker_count(README_GRID.axis1.n) == n
+            assert pu6.positivity._worker_count(40) == n  # 40 blocks of 1024 cells
             assert pu6.positivity._worker_count(3) == min(n, 3)
             threads = set()
 
@@ -377,9 +379,11 @@ class _RowFailure(Exception):
 
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_scan_row_exception_propagates(std_freqs, monkeypatch, cpus):
-    """An exception raised in row 7 leaves ``region_scan`` with its own type, and no thread.
+    """An exception raised in the block holding row 7 leaves ``region_scan`` with its own type.
 
-    The rows not yet started when it is raised are cancelled, not run.
+    Row 7 is cells 1400..1599, all in the second of the 40 blocks.  The
+    blocks not yet started when it is raised are cancelled, not run, and no
+    thread is left.
     """
     baseline = threading.active_count()
     _force_cpus(monkeypatch, cpus)
@@ -388,8 +392,8 @@ def test_scan_row_exception_propagates(std_freqs, monkeypatch, cpus):
     started = []
 
     def failing(tensor, p):
-        started.append(tensor[1][0])
-        if tensor[1][0] == row7:  # axis1 is c2, constant along the row
+        started.append(tensor[1])  # axis1 is c2
+        if row7 in tensor[1]:
             raise _RowFailure("row 7")
         return duality(tensor, p)
 
@@ -397,7 +401,8 @@ def test_scan_row_exception_propagates(std_freqs, monkeypatch, cpus):
     with pytest.raises(_RowFailure, match="row 7"):
         pu6.region_scan(README_GRID, std_freqs)
     assert threading.active_count() == baseline
-    assert row7 in started and len(started) < README_GRID.axis1.n
+    blocks = -(-README_GRID.axis1.n * README_GRID.axis2.n // pu6.positivity._SCAN_BLOCK)
+    assert blocks == 40 and sum(row7 in c2 for c2 in started) == 1 and len(started) < blocks
 
 
 def test_scan_threshold_cell_agrees_with_per_cell_solve():
@@ -466,6 +471,37 @@ def test_scan_csv_matches_csv_writer_reference(std_freqs):
     out = io.StringIO()
     res.write_csv(out)
     assert out.getvalue() == ref.getvalue()
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        README_GRID,
+        _grid(("c2", -30, 0), ("c3", 80, 80), "c1", 1.0, 2500, 1),
+        _grid(("c2", -18, -18), ("c3", 0, 150), "c1", 1.0, 1, 2500),
+        _grid(("c2", -50, 50), ("c3", -150, 150), "c1", 0.0, 40, 40),  # 14 singular cells
+    ],
+    ids=["readme-200x200", "column-2500x1", "row-1x2500", "c1-zero-40x40"],
+)
+def test_scan_csv_does_not_depend_on_block_size(std_freqs, monkeypatch, grid):
+    """The CSV bytes are those of the default 1024-cell blocks for any block size.
+
+    Blocks of one cell, of 7 (straddling rows), of 200, of the whole grid and
+    of one cell more than the grid give the same bytes on a square grid, a
+    single column, a single row and a grid with singular cells.
+    """
+    def csv_text():
+        buf = io.StringIO()
+        pu6.region_scan(grid, std_freqs).write_csv(buf)
+        return buf.getvalue()
+
+    default = csv_text()
+    cells = grid.axis1.n * grid.axis2.n
+    assert default.count("\n") == 1 + cells
+    assert default.count(",singular,") == (14 if grid.axis1.n == 40 else 0)
+    for block in (1, 7, 200, cells, cells + 1):
+        monkeypatch.setattr(pu6.positivity, "_SCAN_BLOCK", block)
+        assert csv_text() == default, block
 
 
 def test_stacked_weights_match_scalar_calls(std_freqs, rng):
