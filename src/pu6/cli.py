@@ -233,8 +233,7 @@ def cmd_scan(cfg: RunConfig, out: Optional[str]) -> int:
         raise ConfigError("scan requires a 'scan' section with the grid spec")
     grid = positivity.GridSpec.from_json(sec)
     f = cfg.frequencies
-    if f.is_degenerate():  # checked before the scan runs and before the output is opened
-        raise ConfigError(f"scan needs pairwise distinct frequencies, got {f.omegas}")
+    f.require_distinct("scan", ConfigError)  # before the scan runs and the output is opened
     result = positivity.region_scan(grid, f)
     with _output(out) as stream:
         result.write_csv(stream)

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ComplexFrequencies, GammaZero
+from .errors import ComplexFrequencies, DegenerateFrequencies, GammaZero
 
 DIM = 6
 
@@ -99,6 +99,11 @@ class FrequencyTriple:
     def is_degenerate(self) -> bool:
         return self.degeneracy is not Degeneracy.NON_DEGENERATE
 
+    def require_distinct(self, what: str, error: type = DegenerateFrequencies) -> None:
+        """Raise ``error``, naming ``what``, unless the frequencies are pairwise distinct."""
+        if self.is_degenerate():
+            raise error(f"{what} needs pairwise distinct frequencies, got {self.omegas}")
+
 
 def frequency_triple(w1: float, w2: float, w3: float, tol: Optional[float] = None) -> FrequencyTriple:
     """Sort the frequencies descending and classify their squares as ``frequencies_from_params`` does."""
@@ -119,6 +124,18 @@ def as_state(q) -> np.ndarray:
     return s.copy()
 
 
+def _read_only_field(obj, name: str, shape=None, message: str = "", project=None) -> np.ndarray:
+    """Store field ``name`` of frozen dataclass ``obj`` as a read-only float array, through
+    ``project`` when given; a shape other than ``shape`` raises ValueError with ``message``."""
+    m = np.asarray(getattr(obj, name), dtype=float)
+    if shape is not None and m.shape != shape:
+        raise ValueError(f"{message}, got {m.shape}")
+    m = m if project is None else project(m)
+    m.flags.writeable = False
+    object.__setattr__(obj, name, m)
+    return m
+
+
 @dataclass(frozen=True)
 class QuadraticForm:
     """Symmetric 6x6 matrix A evaluating as H(s) = 1/2 s^T A s."""
@@ -126,12 +143,8 @@ class QuadraticForm:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (DIM, DIM):
-            raise ValueError(f"quadratic form must be 6x6, got {m.shape}")
-        m = 0.5 * (m + m.T)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        _read_only_field(self, "matrix", (DIM, DIM), "quadratic form must be 6x6",
+                         lambda m: 0.5 * (m + m.T))
 
     def __call__(self, q) -> float:
         s = np.asarray(q, dtype=float)
@@ -150,12 +163,8 @@ class PoissonTensor:
     tag: str = "custom"
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (DIM, DIM):
-            raise ValueError(f"Poisson tensor must be 6x6, got {m.shape}")
-        m = 0.5 * (m - m.T)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        _read_only_field(self, "matrix", (DIM, DIM), "Poisson tensor must be 6x6",
+                         lambda m: 0.5 * (m - m.T))
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .core import (
     PUParams,
     QuadraticForm,
     _model_matrices,
+    _read_only_field,
     as_state,
     flow_operator,
     params_from_frequencies,
@@ -246,18 +247,12 @@ class Trajectory:
     method: str  # "exact" | "rk4"
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        s = np.asarray(self.states, dtype=float)
+        t = _read_only_field(self, "times")
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("trajectory times must be strictly increasing")
-        if s.shape != (t.size, DIM):
-            raise ValueError(f"states must be (n_times, 6), got {s.shape}")
+        s = _read_only_field(self, "states", (t.size, DIM), "states must be (n_times, 6)")
         if not np.all(np.isfinite(s)):
             raise ValueError("trajectory states must be finite")
-        t.flags.writeable = False
-        s.flags.writeable = False
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", s)
 
 
 def step_count(t_end: float, dt: float) -> int:

@@ -28,7 +28,7 @@ from .core import (
     canonical_units,
     frequencies_from_params,
 )
-from .errors import DegenerateFrequencies, SingularCombination
+from .errors import SingularCombination
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,14 @@ def _ladder_matrix(p: PUParams) -> np.ndarray:
     return np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [p.gamma ** 2, -p.alpha * p.gamma, p.beta]])
 
 
-def hierarchy_coefficients(n: int, p: PUParams) -> np.ndarray:
-    """Weights (k1,k2,k3) with H_n = k1 H1 + k2 H2 + k3 H3, via the ladder matrix."""
+def _require_order(n: int) -> None:
     if n < 1:
         raise ValueError(f"the hierarchy starts at n = 1, got {n}")
+
+
+def hierarchy_coefficients(n: int, p: PUParams) -> np.ndarray:
+    """Weights (k1,k2,k3) with H_n = k1 H1 + k2 H2 + k3 H3, via the ladder matrix."""
+    _require_order(n)
     return np.linalg.matrix_power(_ladder_matrix(p), n - 1)[0]
 
 
@@ -78,13 +82,9 @@ def _closed_coefficients(n, f: FrequencyTriple) -> np.ndarray:
 
 def hamiltonian_n_closed(n: int, p: PUParams) -> QuadraticForm:
     """H_n from the closed-form frequency coefficients (non-degenerate only)."""
-    if n < 1:
-        raise ValueError(f"the hierarchy starts at n = 1, got {n}")
+    _require_order(n)
     f = frequencies_from_params(p)
-    if f.is_degenerate():
-        raise DegenerateFrequencies(
-            f"closed-form coefficients have vanishing denominators at {f.omegas}"
-        )
+    f.require_distinct("the closed-form route")
     _, hs, _ = _model_matrices(p)
     return QuadraticForm(_weighted_sum(_closed_coefficients(n, f), hs))
 
@@ -125,8 +125,7 @@ def hamiltonian_n_recursive(n: int, p: PUParams) -> QuadraticForm:
     mapped back exactly, A_n = rho^(4n+2) D^-1 A_hat_n D^-1, so its checks do
     not depend on the frequency scale.
     """
-    if n < 1:
-        raise ValueError(f"the hierarchy starts at n = 1, got {n}")
+    _require_order(n)
     rho, pc = canonical_units(p)
     k = np.arange(DIM)
     return QuadraticForm(_recursion(n, pc)[-1] * rho ** (4 * n + 2 - np.add.outer(k, k)))
@@ -220,10 +219,9 @@ def coeffs_from_tensor(c1: float, c2: float, c3: float, p: PUParams) -> Combinat
 
 
 def _hbar_matrix(weights, p: PUParams) -> np.ndarray:
-    """Symmetrised c4 H1 + c5 H2 + c6 H3 for scalar or stacked weights, shape (..., 6, 6)."""
+    """c4 H1 + c5 H2 + c6 H3 for scalar or stacked weights, (..., 6, 6); symmetric as H1..H3 are."""
     _, hs, _ = _model_matrices(p)
-    a = _weighted_sum(weights, hs)
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return _weighted_sum(weights, hs)
 
 
 def combined_form(c: CombinationCoeffs, p: PUParams) -> QuadraticForm:

@@ -31,8 +31,8 @@ from .core import (
     QuadraticForm,
     params_from_frequencies,
 )
-from .errors import ConfigError, DegenerateFrequencies, SingularCombination, config_value
-from .hierarchy import CombinationCoeffs, _hbar_matrix, _tensor_duality, _weighted_sum
+from .errors import ConfigError, SingularCombination, config_value
+from .hierarchy import CombinationCoeffs, _hbar_matrix, _require_order, _tensor_duality, _weighted_sum
 from .hierarchy import coeffs_from_tensor  # noqa: F401  perfbench/tests checks its rebinding here
 
 _EIG_REL_TOL = 1e-10  # eigenvalue rule: positive iff lambda_min > _EIG_REL_TOL * spectral norm
@@ -40,6 +40,7 @@ _PARITY = np.array([[0, 2, 4], [1, 3, 5]])  # even and odd slots under time reve
 _BLOCKS = (Ellipsis, _PARITY[:, :, None], _PARITY[:, None, :])  # (..., 6, 6) -> (..., 2, 3, 3)
 _CROSS = np.add.outer(np.arange(DIM), np.arange(DIM)) % 2 == 1  # entries coupling the two
 _SCAN_BLOCK = 1024  # grid cells per region_scan pool task
+_BLOCK_MACHINERY = "positive-block machinery"  # what the distinct-frequency rule names
 
 
 @dataclass(frozen=True)
@@ -57,13 +58,6 @@ class PositivityVerdict:
     witness: Optional[np.ndarray]
     method: str
     min_eigenvalue: Optional[float] = None
-
-
-def _require_non_degenerate(f: FrequencyTriple) -> None:
-    if f.is_degenerate():
-        raise DegenerateFrequencies(
-            f"positive-block machinery needs pairwise distinct frequencies, got {f.omegas}"
-        )
 
 
 def _pair_column(j: int, k: int, f: FrequencyTriple) -> list[float]:
@@ -109,9 +103,8 @@ def block_symmetry_action(i: int, j: int, k: int, f: FrequencyTriple) -> float:
 
 def hamiltonian_n_blocks(n: int, f: FrequencyTriple) -> QuadraticForm:
     """H_n = sum over pairs of (m^(n-1) / den) B_jk (strictly non-degenerate only)."""
-    if n < 1:
-        raise ValueError(f"the hierarchy starts at n = 1, got {n}")
-    _require_non_degenerate(f)
+    _require_order(n)
+    f.require_distinct(_BLOCK_MACHINERY)
     blocks = [positive_block(j, k, f).form.matrix for j, k in PAIRS]
     return QuadraticForm(_weighted_sum(_block_weights(n, f), blocks))
 
@@ -130,7 +123,7 @@ def hbar_prefactors(c4, c5, c6, f: FrequencyTriple) -> np.ndarray:
     denominator of ``FrequencyTriple.pairs``.  Stacked weights give stacked
     results, with a trailing axis of 3.
     """
-    _require_non_degenerate(f)
+    f.require_distinct(_BLOCK_MACHINERY)
     m, _, _, den = f.pairs
     c4, c5, c6 = (np.asarray(c)[..., None] for c in (c4, c5, c6))
     return (c4 + c5 * m + c6 * m * m) / den
@@ -146,7 +139,7 @@ def tensor_weight_polynomials(c1, c2, c3, f: FrequencyTriple) -> np.ndarray:
     realise that sign pattern.  Stacked weights give stacked results, with a
     trailing axis of 3.
     """
-    _require_non_degenerate(f)
+    f.require_distinct(_BLOCK_MACHINERY)
     m = f.pairs[0]
     c1, c2, c3 = (np.asarray(c)[..., None] for c in (c1, c2, c3))
     return c3 + c2 * m + c1 * m ** 2
@@ -358,7 +351,7 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    _require_non_degenerate(f)
+    f.require_distinct(_BLOCK_MACHINERY)
     p = params_from_frequencies(f)
     xs, ys = _axis_values(grid.axis1), _axis_values(grid.axis2)
     c_x, c_y = np.repeat(xs, ys.size), np.tile(ys, xs.size)

@@ -31,6 +31,7 @@ from .core import (
     PUParams,
     QuadraticForm,
     _model_matrices,
+    _read_only_field,
     canonical_units,
     flow_operator,
     frequencies_from_params,
@@ -39,7 +40,6 @@ from .errors import (
     ComplexBranch,
     ComplexFrequencies,
     ConfigError,
-    DegenerateFrequencies,
     EquivalenceFailure,
     InvalidPermutation,
     ZeroDenominator,
@@ -85,13 +85,9 @@ class StateProjection:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (3, DIM):
-            raise ValueError(f"projection must be 3x6, got {m.shape}")
+        m = _read_only_field(self, "matrix", (3, DIM), "projection must be 3x6")
         if np.any(m[:, 1::2] != 0.0):
             raise ValueError("odd-derivative columns of a projection must vanish")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
 
     @staticmethod
     def from_rows(rows) -> "StateProjection":
@@ -135,10 +131,7 @@ class EquivalenceReport:
 
 def _build_ta2(p: PUParams, choices: dict) -> Representation:
     f = frequencies_from_params(p)
-    if f.is_degenerate():
-        raise DegenerateFrequencies(
-            f"the decoupled family needs three distinct frequencies, got {f.omegas}"
-        )
+    f.require_distinct("the decoupled family")
     a = choices.get("a", (1.0, 1.0, 1.0))
     # default permutations pair each row with the two frequencies it does not own
     perms = choices.get("perms", ((2, 3, 1), (1, 3, 2), (1, 2, 3)))
@@ -224,7 +217,10 @@ def _build_tb1(p: PUParams, choices: dict) -> Representation:
     tau2 = (1.0 + tau_branch * math.sqrt(rad1)) / (2.0 * al)
     if tau2 == 0.0:
         raise ZeroDenominator("tau2 = 0 leaves the coupling g3 undefined")
-    rad2 = -2.0 * tau2 ** 2 - 2.0 * be * tau2 ** 4 - tau2 ** 6
+    try:
+        rad2 = -2.0 * tau2 ** 2 - 2.0 * be * tau2 ** 4 - tau2 ** 6
+    except OverflowError as exc:  # |tau2| beyond about 1e51
+        raise EquivalenceFailure(-1, math.inf, f"Tb1 leaves the float range at tau2 {tau2:g}") from exc
     if rad2 < 0.0:
         raise ComplexBranch(
             f"two-equation family needs -2 tau2^2 - 2 beta tau2^4 - tau2^6 >= 0, got {rad2:.6g}"
@@ -247,13 +243,20 @@ def _build_tb1(p: PUParams, choices: dict) -> Representation:
     )
 
 
+def _tc1_terms(p: PUParams, mu0: float, nu0: float, tau0: float):
+    """(kappa1, mu2, w, radicand) of Tc1: rows y and z force mu2, and put (g1, g2) on the line
+    g1 nu0 + g2 tau0 = w (q-condition) and the circle g1^2 + g2^2 = v (q''-condition)."""
+    al, be, ga = p.alpha, p.beta, p.gamma
+    k1 = nu0 * nu0 + tau0 * tau0
+    mu2 = -(k1 - be * mu0 + mu0 * mu0) / ga
+    w = ga - al * mu0 + mu0 * mu2
+    v = mu0 + (al - mu2) * mu2 - be
+    return k1, mu2, w, v * k1 - w * w
+
+
 def tc1_radicand(p: PUParams, mu0: float, nu0: float, tau0: float) -> float:
     """Radicand of the coupling solve; negative means the family does not exist here."""
-    k1 = nu0 * nu0 + tau0 * tau0
-    mu2 = -(k1 - p.beta * mu0 + mu0 * mu0) / p.gamma
-    w = p.gamma - p.alpha * mu0 + mu0 * mu2
-    v = mu0 + (p.alpha - mu2) * mu2 - p.beta
-    return v * k1 - w * w
+    return _tc1_terms(p, mu0, nu0, tau0)[3]
 
 
 def _build_tc1(p: PUParams, choices: dict) -> Representation:
@@ -264,15 +267,7 @@ def _build_tc1(p: PUParams, choices: dict) -> Representation:
     branch = choices.get("branch", +1)
     if mu0 == 0.0 or nu0 == 0.0 or tau0 == 0.0:
         raise ZeroDenominator(f"mu0, nu0, tau0 must all be nonzero, got {(mu0, nu0, tau0)}")
-    al, be, ga = p.alpha, p.beta, p.gamma
-    k1 = nu0 * nu0 + tau0 * tau0
-    # the identity requirements on rows y and z force mu2, then put (g1, g2)
-    # on a line (the oscillator q-condition) intersected with a circle (the
-    # oscillator q''-condition); g3 follows linearly.
-    mu2 = -(k1 - be * mu0 + mu0 * mu0) / ga
-    w = ga - al * mu0 + mu0 * mu2  # g1 nu0 + g2 tau0
-    v = mu0 + (al - mu2) * mu2 - be  # g1^2 + g2^2
-    rad = v * k1 - w * w
+    k1, mu2, w, rad = _tc1_terms(p, mu0, nu0, tau0)
     if rad < 0.0:
         raise ComplexBranch(
             f"single-equation family has negative radicand {rad:.6g} "
@@ -289,7 +284,7 @@ def _build_tc1(p: PUParams, choices: dict) -> Representation:
     g3 = -((nu0 * nu0 - tau0 * tau0) + mu0 * (g1 * g1 - g2 * g2) + mu2 * (g1 * nu0 - g2 * tau0)) / (
         2.0 * den
     )
-    bx = al - mu2
+    bx = p.alpha - mu2
     by = -(g1 * mu0 + g3 * tau0) / nu0
     bz = -(g2 * mu0 + g3 * nu0) / tau0
     return Representation(
@@ -458,7 +453,8 @@ def transformed_coefficients(r: Representation, p: PUParams) -> tuple[float, flo
     decomposition residual is checked, so a transcription error in a builder
     cannot silently produce wrong weights.  The decomposition runs in the
     canonical units of ``canonical_units`` and the weights are mapped back
-    exactly.
+    exactly.  Far from unit scale rho^14 or a mapped weight can leave the
+    float range; that raises ``EquivalenceFailure`` too.
     """
     rho, pc = canonical_units(p)
     S = phase_space_map(r, p) * rho ** np.arange(DIM)
@@ -470,7 +466,12 @@ def transformed_coefficients(r: Representation, p: PUParams) -> tuple[float, flo
         raise EquivalenceFailure(
             -1, float(resid), f"pulled-back energy of {r.kind} is not a combination of H1..H3"
         )
-    c = sol / rho ** _WEIGHT_EXPONENTS
+    with np.errstate(all="ignore"):  # rho^14 and c may leave the float range: refused below
+        factor = rho ** _WEIGHT_EXPONENTS
+        c = sol / factor
+    if not (np.isfinite([c, factor]).all() and c.all() and factor.all()):
+        raise EquivalenceFailure(-1, float(resid), f"weights of {r.kind} leave the float range "
+                                 f"at frequency scale rho = 2^{math.log2(rho):g}")
     return (float(c[0]), float(c[1]), float(c[2]))
 
 

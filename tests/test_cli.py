@@ -210,7 +210,7 @@ def test_verify_gamma_zero_fails(tmp_path):
     assert any("GammaZero" in c["detail"] for c in failing)
 
 
-def test_verify_reports_exhausted_dual_draws(tmp_path, monkeypatch):
+def test_verify_reports_rejected_dual_draws(tmp_path, monkeypatch):
     def always_singular(ham, p):  # the stacked core behind coeffs_dual, rejecting every row
         return np.empty((0, 3)), np.zeros(len(ham), dtype=bool), np.zeros_like(ham)
 
@@ -221,7 +221,8 @@ def test_verify_reports_exhausted_dual_draws(tmp_path, monkeypatch):
     checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
     dual = checks.pop("dual_flow_recovery")
     assert dual["status"] == "fail"
-    assert dual["detail"].startswith("only 0 of 200 draws were non-singular")
+    assert np.isnan(dual["residual"])
+    assert dual["detail"] == "20 of 20 draws rejected"
     assert {c["status"] for c in checks.values()} == {"pass"}
 
 
@@ -469,6 +470,40 @@ def test_represent_complex_branch_exit_4(tmp_path):
         cfg["represent"] = {"kind": kind}
         code = cli.main(["--config", _write(tmp_path, "c.json", cfg), "represent"])
         assert code == 4, kind
+
+
+def _represent_at_scale(tmp_path, warn, kind, k):
+    """``represent kind`` at omegas (3, 2, 1) 10^k under warning filter ``warn``: (code, out path)."""
+    cfg = {"model": {"omegas": [3 * 10.0 ** k, 2 * 10.0 ** k, 10.0 ** k]}, "represent": {"kind": kind}}
+    out = tmp_path / "rep.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn)
+        code = cli.main(["--config", _write(tmp_path, "c.json", cfg), "--out", str(out), "represent"])
+    return code, out
+
+
+@pytest.mark.parametrize("warn", ["default", "error"])
+@pytest.mark.parametrize("k", [-20, -15, 15, 20])
+def test_represent_ta2_far_from_unit_scale_stays_positive(tmp_path, warn, k):
+    code, out = _represent_at_scale(tmp_path, warn, "Ta2", k)
+    assert code == 0
+    assert json.loads(out.read_text())["positivity"]["positive"] is True
+
+
+@pytest.mark.parametrize("warn", ["default", "error"])
+@pytest.mark.parametrize(
+    "kind, k, message",
+    [("Ta2", k, "weights of Ta2 leave the float range at frequency scale rho = 2^")
+     for k in (22, 25, -24, -25, -30, -40, -50)]
+    + [("Tb1", -30, "Tb1 leaves the float range at tau2 ")],
+)
+def test_represent_out_of_float_range_exits_1(tmp_path, capsys, warn, kind, k, message):
+    """rho^14 or a mapped weight, or Tb1's tau2^6, leaves the float range: no traceback, no JSON."""
+    code, out = _represent_at_scale(tmp_path, warn, kind, k)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -474,21 +474,23 @@ def test_scan_csv_matches_csv_writer_reference(std_freqs):
 
 
 @pytest.mark.parametrize(
-    "grid, singular",
+    "grid, singular, small_blocks",
     [
-        (README_GRID, 0),
-        (_grid(("c2", -30, 0), ("c3", 80, 80), "c1", 1.0, 2500, 1), 0),
-        (_grid(("c2", -18, -18), ("c3", 0, 150), "c1", 1.0, 1, 2500), 0),
-        (_grid(("c2", -50, 50), ("c3", -150, 150), "c1", 0.0, 40, 40), 14),
+        (README_GRID, 0, (7,)),
+        (_grid(("c2", -30, 0), ("c3", 80, 80), "c1", 1.0, 2500, 1), 0, (1, 7)),
+        (_grid(("c2", -18, -18), ("c3", 0, 150), "c1", 1.0, 1, 2500), 0, (1, 7)),
+        (_grid(("c2", -50, 50), ("c3", -150, 150), "c1", 0.0, 40, 40), 14, (1, 7)),
     ],
     ids=["readme-200x200", "column-2500x1", "row-1x2500", "c1-zero-40x40"],
 )
-def test_scan_csv_does_not_depend_on_block_size(std_freqs, monkeypatch, grid, singular):
+def test_scan_csv_does_not_depend_on_block_size(std_freqs, monkeypatch, grid, singular, small_blocks):
     """The CSV bytes are those of the default 1024-cell blocks for any block size.
 
-    Blocks of one cell, of 7 (straddling rows), of 200, of the whole grid and
-    of one cell more than the grid give the same bytes on a square grid, a
-    single column, a single row and a grid with singular cells.
+    Blocks of 7 cells (straddling rows), of 200, of the whole grid and of one
+    cell more than the grid give the same bytes on a square grid, a single
+    column, a single row and a grid with singular cells.  One-cell blocks run
+    on the three smaller grids only: the same code path, where the README
+    grid would be 40 000 pool tasks.
     """
     def csv_text():
         buf = io.StringIO()
@@ -499,7 +501,7 @@ def test_scan_csv_does_not_depend_on_block_size(std_freqs, monkeypatch, grid, si
     cells = grid.axis1.n * grid.axis2.n
     assert default.count("\n") == 1 + cells
     assert default.count(",singular,") == singular
-    for block in (1, 7, 200, cells, cells + 1):
+    for block in (*small_blocks, 200, cells, cells + 1):
         monkeypatch.setattr(pu6.positivity, "_SCAN_BLOCK", block)
         assert csv_text() == default, block
 
