@@ -45,6 +45,7 @@ from .core import (
     params_from_frequencies,
 )
 from .errors import NonFinite, SingularModeMatrix
+from .parallel import write_rows
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +410,15 @@ def trajectory_hamiltonians(traj: Trajectory, p: PUParams) -> list[np.ndarray]:
 
 
 def trajectory_csv(traj: Trajectory, hvals: Sequence[np.ndarray], stream) -> None:
-    """Write t, the six state slots and the H columns ``hvals`` per row, to 17 digits."""
+    """Write t, the six state slots and the H columns ``hvals`` per row, to 17 digits.
+
+    The rows are formatted in contiguous parts, one per usable CPU (see
+    ``parallel.write_rows``), with the same bytes on any CPU count.
+    """
     stream.write("t,q,qdot,qddot,q3t,q4t,q5t,H1,H2,H3\n")
     table = np.column_stack([traj.times, traj.states, *hvals])
-    for start in range(0, len(table), _CSV_BLOCK):
-        block = table[start:start + _CSV_BLOCK]
-        stream.write((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
+
+    def text(lo: int, hi: int) -> str:
+        return (_CSV_ROW * (hi - lo)) % tuple(table[lo:hi].ravel().tolist())
+
+    write_rows(stream, len(table), text, step=_CSV_BLOCK)

@@ -17,7 +17,6 @@ the one pair table ``FrequencyTriple.pairs``, in ``PAIRS`` order.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,6 +33,7 @@ from .core import (
 from .errors import ConfigError, SingularCombination, config_value
 from .hierarchy import CombinationCoeffs, _hbar_matrix, _require_order, _tensor_duality, _weighted_sum
 from .hierarchy import coeffs_from_tensor  # noqa: F401  perfbench/tests checks its rebinding here
+from .parallel import usable_cpus, write_rows
 
 _EIG_REL_TOL = 1e-10  # eigenvalue rule: positive iff lambda_min > _EIG_REL_TOL * spectral norm
 _PARITY = np.array([[0, 2, 4], [1, 3, 5]])  # even and odd slots under time reversal
@@ -296,28 +296,29 @@ class RegionScanResult:
 
         In the row-major layout each axis value is formatted once: the c_y
         strings once per grid, each c_x string into its row's format string.
+        The grid rows are formatted in contiguous parts, one per usable CPU
+        (see ``parallel.write_rows``), with the same bytes on any CPU count.
         """
         stream.write("c_x,c_y,verdict,min_eigenvalue,prefactor_1,prefactor_2,prefactor_3\n")
         n = self.grid.axis2.n
         ys = ["%.17g" % y for y in self.c_y[:n].tolist()]
         cols = (self.verdict, self.min_eigenvalue, *self.prefactors.T)
-        for start in range(0, self.verdict.size, n):
-            line = "%.17g,%%s,%%s,%%.17g,%%.17g,%%.17g,%%.17g\n" % self.c_x[start]
-            rows = zip(ys, *(c[start:start + n].tolist() for c in cols))
-            stream.write("".join(line % row for row in rows))
+
+        def text(lo: int, hi: int) -> str:
+            out = []
+            for start in range(lo * n, hi * n, n):
+                line = "%.17g,%%s,%%s,%%.17g,%%.17g,%%.17g,%%.17g\n" % self.c_x[start]
+                rows = zip(ys, *(c[start:start + n].tolist() for c in cols))
+                out.append("".join(line % row for row in rows))
+            return "".join(out)
+
+        write_rows(stream, self.verdict.size // n, text, lines=n)
 
 
 def _axis_values(ax: AxisSpec) -> np.ndarray:
     if ax.n == 1:
         return np.array([0.5 * (ax.lo + ax.hi)])
     return np.linspace(ax.lo, ax.hi, ax.n)
-
-
-def _worker_count(blocks: int) -> int:
-    """Scan threads: the CPUs this process may run on, at most one per block of cells."""
-    if hasattr(os, "sched_getaffinity"):
-        return min(len(os.sched_getaffinity(0)), blocks)
-    return min(os.cpu_count() or 1, blocks)
 
 
 def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
@@ -378,7 +379,7 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
         methods_disagree[cells][ok] = by_pref != by_eig
 
     starts = range(0, c_x.size, _SCAN_BLOCK)
-    with ThreadPoolExecutor(_worker_count(len(starts))) as pool:
+    with ThreadPoolExecutor(usable_cpus(len(starts))) as pool:
         for _ in pool.map(fill_block, starts):
             pass  # a failed block re-raises here, and map cancels the blocks not yet started
     return RegionScanResult(grid, f, c_x, c_y, verdict, min_eigenvalue, prefactors, methods_disagree)

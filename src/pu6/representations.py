@@ -219,8 +219,11 @@ def _build_tb1(p: PUParams, choices: dict) -> Representation:
         raise ZeroDenominator("tau2 = 0 leaves the coupling g3 undefined")
     try:
         rad2 = -2.0 * tau2 ** 2 - 2.0 * be * tau2 ** 4 - tau2 ** 6
-    except OverflowError as exc:  # |tau2| beyond about 1e51
-        raise EquivalenceFailure(-1, math.inf, f"Tb1 leaves the float range at tau2 {tau2:g}") from exc
+    except OverflowError as exc:  # |tau2| beyond about 1e51: the sign of -tau2^6 (1 + 2 beta w^2 + 2 w^4)
+        w = 1.0 / tau2
+        if 1.0 + 2.0 * be * w * w + 2.0 * (w * w) ** 2 <= 0.0:
+            raise EquivalenceFailure(-1, math.inf, f"Tb1 leaves the float range at tau2 {tau2:g}") from exc
+        rad2 = -math.inf
     if rad2 < 0.0:
         raise ComplexBranch(
             f"two-equation family needs -2 tau2^2 - 2 beta tau2^4 - tau2^6 >= 0, got {rad2:.6g}"

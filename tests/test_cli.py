@@ -494,16 +494,25 @@ def test_represent_ta2_far_from_unit_scale_stays_positive(tmp_path, warn, k):
 @pytest.mark.parametrize(
     "kind, k, message",
     [("Ta2", k, "weights of Ta2 leave the float range at frequency scale rho = 2^")
-     for k in (22, 25, -24, -25, -30, -40, -50)]
-    + [("Tb1", -30, "Tb1 leaves the float range at tau2 ")],
+     for k in (22, 25, -24, -25, -30, -40, -50)],
 )
 def test_represent_out_of_float_range_exits_1(tmp_path, capsys, warn, kind, k, message):
-    """rho^14 or a mapped weight, or Tb1's tau2^6, leaves the float range: no traceback, no JSON."""
+    """rho^14 or a mapped weight leaves the float range: no traceback, no JSON."""
     code, out = _represent_at_scale(tmp_path, warn, kind, k)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("k", range(-30, -25))
+def test_represent_tb1_far_below_unit_scale_is_a_complex_branch(tmp_path, capsys, k):
+    """Below k = -26 tau2^6 overflows, yet the radicand's sign is exact: exit 4, one line, no JSON."""
+    code, out = _represent_at_scale(tmp_path, "error", "Tb1", k)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("complex branch: two-equation family needs -2 tau2^2 - 2 beta tau2^4")
+    assert err.count("\n") == 1 and not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -353,8 +353,8 @@ def test_scan_csv_does_not_depend_on_pool_size(std_freqs, monkeypatch):
     try:
         for n in (1, 4):
             _force_cpus(monkeypatch, n)
-            assert pu6.positivity._worker_count(40) == n  # 40 blocks of 1024 cells
-            assert pu6.positivity._worker_count(3) == min(n, 3)
+            assert pu6.parallel.usable_cpus(40) == n  # 40 blocks of 1024 cells
+            assert pu6.parallel.usable_cpus(3) == min(n, 3)
             threads = set()
 
             def tracked(tensor, p):
