@@ -4,9 +4,9 @@ Configuration comes from a JSON file plus flag overrides; every output is
 deterministic for a fixed config and seed (CSV uses '.' decimals and 17
 significant digits so doubles round-trip exactly).
 
-Exit codes: 0 success, 1 failed verification, 2 malformed configuration,
-3 overflow during integration, 4 complex representation branch.  Errors map
-to codes 1-4 through ``EXIT_TABLE``.
+Exit codes: 0 success, 1 failed verification, 2 malformed configuration or
+an output that cannot be written, 3 overflow during integration, 4 complex
+representation branch.  Errors map to codes 1-4 through ``EXIT_TABLE``.
 """
 from __future__ import annotations
 
@@ -49,6 +49,7 @@ EXIT_COMPLEX_BRANCH = 4
 # subclasses come before Pu6Error
 EXIT_TABLE = (
     ((ConfigError, ComplexFrequencies), EXIT_CONFIG, "config error"),
+    (OSError, EXIT_CONFIG, "output error"),  # from ``_output``, which names the path
     (NonFinite, EXIT_NONFINITE, "integration overflow"),
     (ComplexBranch, EXIT_COMPLEX_BRANCH, "complex branch"),
     (Pu6Error, EXIT_VERIFY_FAILED, "error"),
@@ -56,7 +57,7 @@ EXIT_TABLE = (
 
 
 def exit_status(error: type) -> tuple[int, str]:
-    """(exit code, stderr prefix) for a Pu6Error subclass, from EXIT_TABLE."""
+    """(exit code, stderr prefix) for a Pu6Error or OSError subclass, from EXIT_TABLE."""
     return next((code, prefix) for types, code, prefix in EXIT_TABLE if issubclass(error, types))
 
 
@@ -122,12 +123,18 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
 
 @contextlib.contextmanager
 def _output(path: Optional[str]):
-    """The file at ``path``, or the sys.stdout current at call time when no path is given."""
+    """The file at ``path``, or the sys.stdout current at call time when no path is given.
+
+    An OSError from opening or writing the file is raised again as one that names ``path``.
+    """
     if path is None:
         yield sys.stdout
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             yield fh
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_json(path: Optional[str], obj: dict) -> None:
@@ -153,19 +160,14 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
     interaction = None
     if sec.get("interaction") is not None:
         isec = config_object(sec["interaction"], "simulate.interaction")
+        kind = isec.get("kind", "quartic")
+        if kind != "quartic":
+            raise ConfigError(f"simulate.interaction.kind must be quartic, got {kind!r}")
         variable = config_value(isec.get("variable", 0), "simulate.interaction.variable", int)
+        lam = config_value(isec.get("lam", 1.0), "simulate.interaction.lam")
         try:
-            if isec.get("kind", "quartic") == "quartic":
-                interaction = dynamics.InteractionSpec.quartic(
-                    lam=config_value(isec.get("lam", 1.0), "simulate.interaction.lam"),
-                    variable=variable,
-                )
-            else:
-                coefficients = tuple(
-                    config_value(c, "simulate.interaction.coefficients") for c in isec["coefficients"]
-                )
-                interaction = dynamics.InteractionSpec(coefficients=coefficients, variable=variable)
-        except (KeyError, TypeError, ValueError) as exc:
+            interaction = dynamics.InteractionSpec.quartic(lam=lam, variable=variable)
+        except ValueError as exc:
             raise ConfigError(f"malformed interaction spec: {exc}") from exc
 
     p = cfg.params
@@ -182,12 +184,11 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
     else:
         traj = dynamics.integrate_rk4(p, initial, t_end, dt, interaction)
 
-    hvals = dynamics.trajectory_hamiltonians(traj, p)  # overflow exits before any file is opened
+    hvals, drift = dynamics.trajectory_hamiltonians(traj, p)  # overflow exits before any file opens
     base = out or "trajectory"
     csv_path, json_path = base + ".csv", base + ".json"
-    with open(csv_path, "w") as fh:
+    with _output(csv_path) as fh:
         dynamics.trajectory_csv(traj, hvals, fh)
-    drift = dynamics.value_drift(hvals)
     summary = {
         "method": traj.method,
         "dt": dt,
@@ -250,6 +251,8 @@ def cmd_represent(cfg: RunConfig, out: Optional[str]) -> int:
     kind = sec.get("kind", "Ta2")
     choices = sec.get("free_choices", {})
     p = cfg.params
+    if kind == "Ta2" and cfg.tol is not None:  # the builder classifies at the default tol
+        cfg.frequencies.require_distinct("the decoupled family")
     rep = representations.build_representation(kind, p, choices)
     report = representations.equivalence_check(rep, p)
     c456 = representations.transformed_coefficients(rep, p)
@@ -309,7 +312,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = load_config(args.config, args)
         return _COMMANDS[args.command](cfg, args.out)
-    except Pu6Error as exc:
+    except (Pu6Error, OSError) as exc:
         code, prefix = exit_status(type(exc))
         print(f"{prefix}: {exc}", file=sys.stderr)
         return code

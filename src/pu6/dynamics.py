@@ -399,14 +399,17 @@ _CSV_ROW = ",".join(["%.17g"] * 10) + "\n"
 _CSV_BLOCK = 1024  # rows per write
 
 
-def trajectory_hamiltonians(traj: Trajectory, p: PUParams) -> list[np.ndarray]:
-    """H1..H3 along ``traj``; NonFinite at the first time where one, or its drift, is not finite."""
+def trajectory_hamiltonians(traj: Trajectory, p: PUParams) -> tuple[list, np.ndarray]:
+    """H1..H3 along ``traj`` and their ``value_drift``, bit for bit (x / scale is monotone).
+
+    NonFinite at the first time where an H, or its drift, is not finite.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         hvals = _form_values(traj.states, _model_matrices(p)[1])
         drift = [(h - h[0]) / max(abs(h[0]), 1e-300) for h in hvals]  # value_drift's, per time
     _require_finite("H", traj.times, np.column_stack(hvals))
     _require_finite("H drift", traj.times, np.column_stack(drift))
-    return hvals
+    return hvals, np.array([np.abs(d).max() for d in drift])
 
 
 def trajectory_csv(traj: Trajectory, hvals: Sequence[np.ndarray], stream) -> None:

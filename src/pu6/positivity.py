@@ -5,9 +5,9 @@ Every combined Hamiltonian expands over three rank-2 positive blocks B_jk
 blocks form a basis of the dual state space for distinct frequencies, so the
 block expansion is a diagonalisation in disguise: the combination is
 positive-definite exactly when all three block prefactors are positive
-(Sylvester's law), and the eigenvalue route, ``eigenvalue_split`` for one
-form or a whole scan row, is kept as an independent oracle for that
-criterion rather than a fallback.
+(Sylvester's law), and the eigenvalue route, ``eigenvalue_split`` on the
+Hamiltonian weights of one form or a whole scan block, is kept as an
+independent oracle for that criterion rather than a fallback.
 
 The blocks, the prefactors (c4 + c5 m + c6 m^2) / den, the tensor-weight
 polynomials c3 + c2 m + c1 m^2 and the block route of H_n all read the pair
@@ -28,6 +28,7 @@ from .core import (
     FrequencyTriple,
     PUParams,
     QuadraticForm,
+    _model_matrices,
     params_from_frequencies,
 )
 from .errors import ConfigError, SingularCombination, config_value
@@ -37,18 +38,9 @@ from .parallel import usable_cpus, write_rows
 
 _EIG_REL_TOL = 1e-10  # eigenvalue rule: positive iff lambda_min > _EIG_REL_TOL * spectral norm
 _PARITY = np.array([[0, 2, 4], [1, 3, 5]])  # even and odd slots under time reversal
-_BLOCKS = (Ellipsis, _PARITY[:, :, None], _PARITY[:, None, :])  # (..., 6, 6) -> (..., 2, 3, 3)
-_CROSS = np.add.outer(np.arange(DIM), np.arange(DIM)) % 2 == 1  # entries coupling the two
+_BLOCKS = DIM * _PARITY[:, :, None] + _PARITY[:, None, :]  # flat indices of the 2 parity blocks
 _SCAN_BLOCK = 1024  # grid cells per region_scan pool task
 _BLOCK_MACHINERY = "positive-block machinery"  # what the distinct-frequency rule names
-
-
-@dataclass(frozen=True)
-class PositiveBlock:
-    """Sum of two squared functionals: one on odd slots, one (weighted) on even slots."""
-
-    jk: tuple[int, int]
-    form: QuadraticForm
 
 
 @dataclass(frozen=True)
@@ -67,7 +59,7 @@ def _pair_column(j: int, k: int, f: FrequencyTriple) -> list[float]:
     return f.pairs[:, PAIRS.index((min(j, k), max(j, k)))].tolist()
 
 
-def positive_block(j: int, k: int, f: FrequencyTriple) -> PositiveBlock:
+def positive_block(j: int, k: int, f: FrequencyTriple) -> QuadraticForm:
     """Block B_jk = [q5t + (wj^2+wk^2) q3t + wj^2 wk^2 qd]^2 + wi^2 [even mirror]^2.
 
     Indices refer to the descending-sorted triple.  The stored form matrix
@@ -80,7 +72,7 @@ def positive_block(j: int, k: int, f: FrequencyTriple) -> PositiveBlock:
     v = np.zeros(DIM)
     v[0], v[2], v[4] = prod, ssum, 1.0
     A = 2.0 * (np.outer(u, u) + wi2 * np.outer(v, v))
-    return PositiveBlock(jk=(min(j, k), max(j, k)), form=QuadraticForm(A))
+    return QuadraticForm(A)
 
 
 def block_symmetry_action(i: int, j: int, k: int, f: FrequencyTriple) -> float:
@@ -105,7 +97,7 @@ def hamiltonian_n_blocks(n: int, f: FrequencyTriple) -> QuadraticForm:
     """H_n = sum over pairs of (m^(n-1) / den) B_jk (strictly non-degenerate only)."""
     _require_order(n)
     f.require_distinct(_BLOCK_MACHINERY)
-    blocks = [positive_block(j, k, f).form.matrix for j, k in PAIRS]
+    blocks = [positive_block(j, k, f).matrix for j, k in PAIRS]
     return QuadraticForm(_weighted_sum(_block_weights(n, f), blocks))
 
 
@@ -151,52 +143,38 @@ def _polynomial_vanishes(poly: np.ndarray):
     return a.min(axis=-1) < 1e-14 * np.maximum(1e-300, a.max(axis=-1))
 
 
-def eigenvalue_split(a: np.ndarray):
-    """(lambda_min, lambda_min > 1e-10 max|eigenvalue|) of (..., 6, 6) forms, one ``eigvalsh``.
+def eigenvalue_split(weights, p: PUParams):
+    """(lambda_min, lambda_min > 1e-10 max|eigenvalue|) of Hbar = c4 H1 + c5 H2 + c6 H3.
 
-    Time reversal T = diag(1, -1, 1, -1, 1, -1) fixes every H_k exactly
-    (T H_k T = H_k: no builder writes an entry with i + j odd), so every
-    combination of them is block-diagonal over the even slots (0, 2, 4) and
-    the odd slots (1, 3, 5), and its spectrum is the union of the two 3x3
-    blocks'.  One constant fancy index gathers both blocks of every form
-    into a (..., 2, 3, 3) stack for the one ``eigvalsh``.  A form with a
-    cross entry that is not exactly zero is no such combination: it raises
-    ``ValueError``.
+    ``weights`` (c4, c5, c6) are scalars or stacked like ``hbar_prefactors``'.
+    Time reversal T = diag(1, -1, 1, -1, 1, -1) fixes every H_k exactly (no
+    builder writes an entry with i + j odd), so Hbar is block-diagonal over
+    the even slots (0, 2, 4) and the odd slots (1, 3, 5): its spectrum is
+    the union of the two 3x3 blocks'.  The blocks of H1..H3, taken by one
+    constant flat index, are summed in ``_weighted_sum``'s order, so they
+    hold the bits of ``hierarchy._hbar_matrix``'s entries; one ``eigvalsh``
+    judges the (..., 2, 3, 3) stack.
     """
-    a = np.asarray(a)
-    if a[..., _CROSS].any():  # NaN counts as non-zero
-        raise ValueError("eigenvalue_split needs forms with no entry coupling even and odd slots")
-    vals = np.linalg.eigvalsh(a[_BLOCKS]).reshape(a.shape[:-1])
-    lam = vals.min(axis=-1)
-    return lam, lam > _EIG_REL_TOL * np.abs(vals).max(axis=-1)
+    _, hs, _ = _model_matrices(p)
+    hbar = sum(np.asarray(c)[..., None, None, None] * h.take(_BLOCKS) for c, h in zip(weights, hs))
+    vals = np.linalg.eigvalsh(hbar)
+    lam = vals.min(axis=(-2, -1))
+    return lam, lam > _EIG_REL_TOL * np.abs(vals).max(axis=(-2, -1))
 
 
-def positivity_verdict(
-    c: CombinationCoeffs, f: FrequencyTriple, method: str = "prefactor"
-) -> PositivityVerdict:
-    """Decide definiteness of the combined Hamiltonian.
+def positivity_verdict(c: CombinationCoeffs, f: FrequencyTriple) -> PositivityVerdict:
+    """Prefactor criterion: positive iff all three block weights exceed zero.
 
-    ``prefactor``: positive iff all three block weights exceed zero (exact by
-    Sylvester's law away from the boundary).  ``eigenvalue``: positive iff
-    the smallest eigenvalue exceeds 1e-10 times the spectral norm; a
-    non-positive direction is returned as witness.
+    Exact by Sylvester's law away from the boundary; ``eigenvalue_verdict``
+    is the independent eigenvalue oracle for the same question.
     """
-    if method == "prefactor":
-        poly = tensor_weight_polynomials(*c.poisson_weights, f)
-        if _polynomial_vanishes(poly):
-            raise SingularCombination(
-                f"tensor-weight polynomial vanishes for {c.poisson_weights}: {poly}"
-            )
-        pref = hbar_prefactors(c.c4, c.c5, c.c6, f)
-        return PositivityVerdict(
-            positive=bool(np.all(pref > 0.0)),
-            prefactors=tuple(pref),
-            witness=None,
-            method="prefactor",
-        )
-    if method == "eigenvalue":
-        return eigenvalue_verdict(c.hamiltonian_weights, params_from_frequencies(f), f)
-    raise ValueError(f"method must be 'prefactor' or 'eigenvalue', got {method!r}")
+    poly = tensor_weight_polynomials(*c.poisson_weights, f)
+    if _polynomial_vanishes(poly):
+        raise SingularCombination(
+            f"tensor-weight polynomial vanishes for {c.poisson_weights}: {poly}")
+    pref = hbar_prefactors(c.c4, c.c5, c.c6, f)
+    return PositivityVerdict(positive=bool(np.all(pref > 0.0)), prefactors=tuple(pref),
+                             witness=None, method="prefactor")
 
 
 def eigenvalue_verdict(
@@ -204,14 +182,13 @@ def eigenvalue_verdict(
 ) -> PositivityVerdict:
     """Eigenvalue-route verdict on Hbar = c4 H1 + c5 H2 + c6 H3 with ``weights`` (c4,c5,c6).
 
-    The verdict is ``eigenvalue_split``'s; when the smallest eigenvalue is
-    not positive, its eigenvector (from ``eigh``) is returned as witness.
-    Block prefactors are attached when ``f`` holds real, non-degenerate
-    frequencies; the verdict itself needs neither.
+    The verdict is ``eigenvalue_split``'s; only when the smallest eigenvalue
+    is not positive is Hbar built, and its eigenvector (from ``eigh``)
+    returned as witness.  Block prefactors are attached when ``f`` holds
+    real, non-degenerate frequencies; the verdict itself needs neither.
     """
-    a = _hbar_matrix(weights, p)
-    lam, positive = eigenvalue_split(a)
-    witness = np.linalg.eigh(a)[1][:, 0] if lam <= 0.0 else None  # eigh sorts ascending
+    lam, positive = eigenvalue_split(weights, p)
+    witness = np.linalg.eigh(_hbar_matrix(weights, p))[1][:, 0] if lam <= 0.0 else None
     pref = tuple(hbar_prefactors(*weights, f)) if f is not None and not f.is_degenerate() else None
     return PositivityVerdict(
         positive=bool(positive),
@@ -326,10 +303,11 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
 
     The flat row-major columns are allocated once and filled in blocks of
     ``_SCAN_BLOCK`` cells: one stacked duality solve, the singularity mask,
-    the prefactors and one ``eigenvalue_split`` over the block's non-singular
-    cells.  A singular tensor combination (from the duality or the
-    tensor-weight polynomials) is a cell status, not an abort.  The two
-    routes may disagree only in the band where a prefactor crosses zero.
+    the prefactors and one ``eigenvalue_split`` on the weights of the
+    block's non-singular cells.  A singular tensor combination (from the
+    duality or the tensor-weight polynomials) is a cell status, not an
+    abort.  The two routes may disagree only in the band where a prefactor
+    crosses zero.
 
     Blocks run on a thread pool, one worker per usable CPU (at most one per
     block), and each writes only its own slices; the stacked SVD and
@@ -370,7 +348,7 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
         ok = dual & ~_polynomial_vanishes(tensor_weight_polynomials(*tensor, f))
         weights = ham[ok].T
         pref = hbar_prefactors(*weights, f)
-        lam, by_eig = eigenvalue_split(_hbar_matrix(weights, p))
+        lam, by_eig = eigenvalue_split(weights, p)
         by_pref = np.all(pref > 0.0, axis=-1)
         # basic slices are views, so each masked write lands in the columns
         verdict[cells][ok] = np.where(by_pref, "positive", "not_positive")

@@ -84,8 +84,8 @@ def run_invariant_suite(
     """
     rng = rng or np.random.default_rng(0)
     _, p = core.canonical_units(p)
-    F = core.flow_operator(p)
-    H = np.stack([core.hamiltonian_form(k, p).matrix for k in (1, 2, 3)])
+    js, hs, F = core._model_matrices(p)
+    H = np.stack(hs)
     X = np.stack([symmetries.lie_generator(i, p) for i in range(1, 7)])
     try:
         f = frequencies_from_params(p, tol=tol)
@@ -93,10 +93,11 @@ def run_invariant_suite(
         f = None
     distinct = f is not None and not f.is_degenerate()
     if distinct:
-        B = np.stack([positivity.positive_block(j, k, f).form.matrix for j, k in PAIRS])
+        B = np.stack([positivity.positive_block(j, k, f).matrix for j, k in PAIRS])
     J = A = no_tensors = no_chain = None
     try:
-        J = np.stack([core.poisson_tensor(k, p).matrix for k in (1, 2, 3)])
+        p.require_gamma()  # js is empty at gamma = 0
+        J = np.stack(js)
         A = np.stack(hierarchy._recursion(10, p))
     except GammaZero as exc:
         no_tensors = f"GammaZero: {exc}"

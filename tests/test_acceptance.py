@@ -130,7 +130,7 @@ def test_criterion_6_block_identity():
         f = pu6.frequencies_from_params(p)
         al, be, ga = p.alpha, p.beta, p.gamma
         lhs = sum(
-            pu6.positive_block(j, k, f).form.matrix for (j, k) in ((1, 2), (2, 3), (1, 3))
+            pu6.positive_block(j, k, f).matrix for (j, k) in ((1, 2), (2, 3), (1, 3))
         )
         rhs = 2.0 * (
             (al * al - 2 * be) * pu6.hamiltonian_form(1, p).matrix
@@ -186,8 +186,8 @@ def test_criterion_7c_witness_point():
     # negative, giving the (1,3) block a negative weight and the combined
     # Hamiltonian two negative eigenvalues.  Expected to FAIL; kept as stated.
     c = pu6.coeffs_from_tensor(1.0, -20.0, 150.0, STD)
-    v_eig = pu6.positivity_verdict(c, STD_F, "eigenvalue")
-    v_pref = pu6.positivity_verdict(c, STD_F, "prefactor")
+    v_eig = pu6.eigenvalue_verdict(c.hamiltonian_weights, STD, STD_F)
+    v_pref = pu6.positivity_verdict(c, STD_F)
     ok = v_eig.positive and v_pref.positive
     _report(
         "7c witness point (1,-20,150) positive",

@@ -111,14 +111,19 @@ def test_simulate_overflow_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "sim, message",
-    [  # finite states whose H overflow, and an exact solution that overflows itself
-        ({"dt": 0.1, "t_end": 20.0}, "H overflowed at t=0"),
-        ({"method": "exact", "dt": 0.5, "t_end": 1e5}, "state overflowed at t=15947.5"),
+    "omegas, sim, message",
+    [  # finite states whose H overflow, an exact solution that overflows itself,
+       # and an unstable quartic interaction
+        ([1, 1, 1], {"dt": 0.1, "t_end": 20.0, "initial": [1e300] * 6}, "H overflowed at t=0"),
+        ([1, 1, 1], {"method": "exact", "dt": 0.5, "t_end": 1e5, "initial": [1e300] * 6},
+         "state overflowed at t=15947.5"),
+        ([3, 2, 1], {"dt": 0.01, "t_end": 5.0, "initial": [10, 0, 0, 0, 0, 0],
+                     "interaction": {"kind": "quartic", "lam": -100}},
+         "state overflowed at t=1.55 (interaction term)"),
     ],
 )
-def test_simulate_overflow_exits_3_before_writing(tmp_path, capsys, sim, message):
-    cfg = {"model": {"omegas": [1, 1, 1]}, "simulate": dict(sim, initial=[1e300] * 6)}
+def test_simulate_overflow_exits_3_before_writing(tmp_path, capsys, omegas, sim, message):
+    cfg = {"model": {"omegas": omegas}, "simulate": sim}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = cli.main(["--config", _write(tmp_path, "c.json", cfg), "--out",
@@ -464,6 +469,17 @@ def test_represent_to_redirected_stdout(tmp_path):
     assert json.loads(captured.getvalue())["equivalence_pattern"] == ["PU", "PU", "PU"]
 
 
+def test_represent_ta2_honours_tol(tmp_path, capsys):
+    """A triple distinct at the default tol but degenerate at --tol 1e-3 has no Ta2 family."""
+    cfg = {"model": {"omegas": [3, 2.0001, 2]}, "represent": {"kind": "Ta2"}}
+    argv = ["--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o.json")]
+    assert cli.main(argv + ["--tol", "1e-3", "represent"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the decoupled family needs pairwise distinct frequencies, got (")
+    assert err.count("\n") == 1 and not (tmp_path / "o.json").exists()
+    assert cli.main(argv + ["represent"]) == 0
+
+
 def test_represent_complex_branch_exit_4(tmp_path):
     for kind in ("Ta1", "Tb1"):
         cfg = _model321()
@@ -556,6 +572,17 @@ _SCAN_N = (
         ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"interaction": {"lam": NaN}}}', "simulate"),
         ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"interaction": {"kind": "poly", '
          '"coefficients": [0, 0, 0, NaN]}}}', "simulate"),
+        ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"interaction": {"kind": "quartc"}}}',
+         "simulate"),
+        ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"interaction": {"kind": "banana", '
+         '"coefficients": [0, 0, 0, 1]}}}', "simulate"),
+        ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"method": "euler"}}', "simulate"),
+        ('{"model": {"omegas": [3, 2, 1]}, "simulate": {"method": "exact", '
+         '"interaction": {"lam": 0.01}}}', "simulate"),
+        ('{"model": {"omegas": [3, 2, 1]}}', "scan"),
+        ('{"model": {"omegas": [3, 2, 1]}, %s}' % (_SCAN_N % 0), "scan"),
+        ('{"model": {"omegas": [3, 2, 1]}, %s}' % (_SCAN_N % 2).replace('"min": -25', '"min": 25'),
+         "scan"),
         ('{"model": {"omegas": [3, 2, 1]}, "represent": {"free_choices": [1, 2]}}', "represent"),
         ('{"model": {"omegas": [3, 2, 1]}, "represent": {"kind": "Ta2", "free_choices": {"a": "xyz"}}}',
          "represent"),
@@ -585,6 +612,40 @@ def test_malformed_input_exit_2(tmp_path, capsys, text, command):
     assert cli.main(["--config", str(path), "--out", str(tmp_path / "o.json"), command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_unknown_interaction_kind_is_named(tmp_path, capsys):
+    cfg = _model321()
+    cfg["simulate"] = {"interaction": {"kind": "banana", "coefficients": [0, 0, 0, 1]}}
+    assert cli.main(["--config", _write(tmp_path, "c.json", cfg), "simulate"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: simulate.interaction.kind must be quartic, got 'banana'\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "scan", "represent"])
+def test_output_into_a_missing_directory_exits_2(tmp_path, capsys, command):
+    """An output that cannot be opened is exit 2 with one line naming it, never a traceback."""
+    cfg = {**_model321(), "represent": {"kind": "Ta2"}, **json.loads("{%s}" % (_SCAN_N % 2))}
+    out = tmp_path / "missing" / "r"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["--config", _write(tmp_path, "c.json", cfg), "--out", str(out), command])
+    path = f"{out}.csv" if command == "simulate" else str(out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"output error: cannot write {path}: No such file or directory\n"
+
+
+def test_failed_csv_part_exits_2_naming_the_output(tmp_path, capsys, monkeypatch):
+    def failed(self, stream):
+        raise OSError("the process formatting rows 1..2 exited with 1")
+
+    monkeypatch.setattr(pu6.positivity.RegionScanResult, "write_csv", failed)
+    out = tmp_path / "region.csv"
+    cfg = _write(tmp_path, "c.json", _scan_cfg())
+    assert cli.main(["--config", cfg, "--out", str(out), "scan"]) == 2
+    assert capsys.readouterr().err == (
+        f"output error: cannot write {out}: the process formatting rows 1..2 exited with 1\n")
 
 
 @pytest.mark.parametrize(
@@ -648,3 +709,4 @@ def test_exit_table_covers_every_error():
     assert {code for _, code, _ in cli.EXIT_TABLE} == {1, 2, 3, 4}
     for error in errors:
         assert cli.exit_status(error)[0] == special.get(error, 1), error
+    assert cli.exit_status(FileNotFoundError) == (2, "output error")

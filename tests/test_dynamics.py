@@ -453,7 +453,7 @@ def test_trajectory_csv_format(std_params, std_freqs, tmp_path):
     traj = pu6.exact_trajectory(sol, 1.0, 0.5)
     path = tmp_path / "t.csv"
     with open(path, "w") as fh:
-        pu6.trajectory_csv(traj, pu6.dynamics.trajectory_hamiltonians(traj, std_params), fh)
+        pu6.trajectory_csv(traj, pu6.dynamics.trajectory_hamiltonians(traj, std_params)[0], fh)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t,q,qdot,qddot,q3t,q4t,q5t,H1,H2,H3"
     assert len(lines) == 4  # header + 3 samples
@@ -482,5 +482,8 @@ def test_trajectory_csv_matches_per_cell_reference(std_params, std_freqs, method
     else:
         traj = pu6.exact_trajectory(pu6.solve_exact(std_freqs, _cos3_state()), 3.0, 1e-3)
     out = io.StringIO()
-    pu6.trajectory_csv(traj, pu6.dynamics.trajectory_hamiltonians(traj, std_params), out)
+    hvals, drift = pu6.dynamics.trajectory_hamiltonians(traj, std_params)
+    pu6.trajectory_csv(traj, hvals, out)
     assert out.getvalue() == _per_cell_trajectory_csv(traj, std_params)
+    # the drift summary is value_drift's, bit for bit
+    np.testing.assert_array_equal(drift, pu6.dynamics.value_drift(hvals))

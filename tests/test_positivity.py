@@ -14,17 +14,17 @@ from conftest import random_param_sets
 
 def test_block_value_at_unit_position(std_freqs):
     b = pu6.positive_block(1, 2, std_freqs)
-    assert b.form(np.eye(6)[0]) == pytest.approx(1296.0)
+    assert b(np.eye(6)[0]) == pytest.approx(1296.0)
 
 
 def test_block_zero_at_origin(std_freqs):
     for (j, k) in ((1, 2), (1, 3), (2, 3)):
-        assert pu6.positive_block(j, k, std_freqs).form(np.zeros(6)) == 0.0
+        assert pu6.positive_block(j, k, std_freqs)(np.zeros(6)) == 0.0
 
 
 def test_block_rank_and_psd(std_freqs):
     for (j, k) in ((1, 2), (1, 3), (2, 3)):
-        ev = np.linalg.eigvalsh(pu6.positive_block(j, k, std_freqs).form.matrix)
+        ev = np.linalg.eigvalsh(pu6.positive_block(j, k, std_freqs).matrix)
         norm = np.abs(ev).max()
         assert ev.min() >= -1e-9 * norm
         assert np.abs(ev[:4]).max() < 1e-8 * norm  # exactly 4 zeros
@@ -36,11 +36,11 @@ def test_block_symmetry_scalars(std_freqs, std_params):
 
     for (j, k) in ((1, 2), (1, 3), (2, 3)):
         block = pu6.positive_block(j, k, std_freqs)
-        scale = np.abs(block.form.matrix).max()
+        scale = np.abs(block.matrix).max()
         for i in range(1, 7):
             predicted = pu6.block_symmetry_action(i, j, k, std_freqs)
-            acted = symmetry_action_on_form(lie_generator(i, std_params), block.form)
-            assert np.abs(acted.matrix - predicted * block.form.matrix).max() < 1e-9 * scale
+            acted = symmetry_action_on_form(lie_generator(i, std_params), block)
+            assert np.abs(acted.matrix - predicted * block.matrix).max() < 1e-9 * scale
 
 
 def test_block_scalar_values(std_freqs):
@@ -69,7 +69,7 @@ def test_block_sum_identity(std_freqs, std_params, rng):
         sets.append((p, pu6.frequencies_from_params(p)))
     for p, f in sets:
         al, be, ga = p.alpha, p.beta, p.gamma
-        lhs = sum(pu6.positive_block(j, k, f).form.matrix for (j, k) in ((1, 2), (2, 3), (1, 3)))
+        lhs = sum(pu6.positive_block(j, k, f).matrix for (j, k) in ((1, 2), (2, 3), (1, 3)))
         rhs = 2.0 * (
             (al * al - 2 * be) * pu6.hamiltonian_form(1, p).matrix
             + (3.0 - al * be / ga) * pu6.hamiltonian_form(2, p).matrix
@@ -91,7 +91,7 @@ def test_prefactors_linear_and_zero(std_freqs):
 
 
 def test_prefactor_expansion_exactness(std_freqs, std_params, rng):
-    blocks = [pu6.positive_block(j, k, std_freqs).form.matrix for (j, k) in ((1, 2), (1, 3), (2, 3))]
+    blocks = [pu6.positive_block(j, k, std_freqs).matrix for (j, k) in ((1, 2), (1, 3), (2, 3))]
     hs = [pu6.hamiltonian_form(k, std_params).matrix for k in (1, 2, 3)]
     for _ in range(50):
         c4, c5, c6 = rng.normal(size=3)
@@ -113,17 +113,16 @@ def test_pure_h1_prefactor_values(std_freqs):
 
 def test_verdict_positive_point(std_freqs, std_params):
     c = pu6.coeffs_from_tensor(1.0, -18.0, 80.0, std_params)
-    for method in ("prefactor", "eigenvalue"):
-        v = pu6.positivity_verdict(c, std_freqs, method)
-        assert v.positive, method
+    assert pu6.positivity_verdict(c, std_freqs).positive
+    assert pu6.eigenvalue_verdict(c.hamiltonian_weights, std_params, std_freqs).positive
 
 
 def test_verdict_indefinite_point(std_freqs, std_params):
     # the middle-pair polynomial 150 - 20 m + m^2 at m = 9 is +51, so the
     # (1,3) block carries a negative weight: two negative directions
     c = pu6.coeffs_from_tensor(1.0, -20.0, 150.0, std_params)
-    v_pref = pu6.positivity_verdict(c, std_freqs, "prefactor")
-    v_eig = pu6.positivity_verdict(c, std_freqs, "eigenvalue")
+    v_pref = pu6.positivity_verdict(c, std_freqs)
+    v_eig = pu6.eigenvalue_verdict(c.hamiltonian_weights, std_params, std_freqs)
     assert not v_pref.positive
     assert not v_eig.positive
     assert v_eig.min_eigenvalue < -1.0
@@ -137,7 +136,7 @@ def test_verdict_single_nonzero_weight_never_positive(std_freqs, std_params):
             c = pu6.coeffs_from_tensor(*weights, std_params)
         except pu6.SingularCombination:
             continue
-        v = pu6.positivity_verdict(c, std_freqs, "eigenvalue")
+        v = pu6.eigenvalue_verdict(c.hamiltonian_weights, std_params, std_freqs)
         assert not v.positive, weights
 
 
@@ -149,10 +148,10 @@ def test_verdict_methods_agree_at_random_points(std_freqs, std_params, rng):
         c3 = rng.uniform(-50, 200)
         try:
             c = pu6.coeffs_from_tensor(c1, c2, c3, std_params)
-            v_pref = pu6.positivity_verdict(c, std_freqs, "prefactor")
+            v_pref = pu6.positivity_verdict(c, std_freqs)
         except pu6.SingularCombination:
             continue
-        v_eig = pu6.positivity_verdict(c, std_freqs, "eigenvalue")
+        v_eig = pu6.eigenvalue_verdict(c.hamiltonian_weights, std_params, std_freqs)
         pref = np.asarray(v_pref.prefactors)
         if np.abs(pref).min() <= 1e-8 * np.abs(pref).max():
             continue  # boundary band
@@ -171,7 +170,7 @@ def test_degenerate_frequencies_rejected():
     f = pu6.frequency_triple(2, 2, 1)
     c = pu6.CombinationCoeffs(1, 1, 1, 1, 1, 1)
     with pytest.raises(pu6.DegenerateFrequencies):
-        pu6.positivity_verdict(c, f, "prefactor")
+        pu6.positivity_verdict(c, f)
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +243,12 @@ def _reference_scan(grid, f):
                  grid.fixed_name: grid.fixed_value}
             try:
                 c = pu6.coeffs_from_tensor(w["c1"], w["c2"], w["c3"], p)
-                by_pref = pu6.positivity_verdict(c, f, "prefactor")
+                by_pref = pu6.positivity_verdict(c, f)
             except pu6.SingularCombination:
                 rows.append((x, y, "singular", np.nan, nan3, False))
                 norms.append(np.nan)
                 continue
-            by_eig = pu6.positivity_verdict(c, f, "eigenvalue")
+            by_eig = pu6.eigenvalue_verdict(c.hamiltonian_weights, p, f)
             rows.append((
                 x, y, "positive" if by_pref.positive else "not_positive",
                 by_eig.min_eigenvalue, by_pref.prefactors, by_pref.positive != by_eig.positive,
@@ -294,7 +293,7 @@ def test_scan_matches_per_cell_reference(std_freqs, grid, singular):
 
 
 def test_scan_and_verdicts_share_one_eigenvalue_oracle(std_freqs, std_params, monkeypatch):
-    """``eigenvalue_split`` judges each scan block as one stack, and every single-form verdict.
+    """``eigenvalue_split`` judges each scan block's weights as one stack, and every single form.
 
     The grid holds positive, non-positive and four singular cells, where a
     tensor-weight polynomial vanishes exactly (P_13 at (-15, 54), (-20, 99)
@@ -307,9 +306,9 @@ def test_scan_and_verdicts_share_one_eigenvalue_oracle(std_freqs, std_params, mo
     calls = []
     split = pu6.positivity.eigenvalue_split
 
-    def counted(a):
-        calls.append(np.shape(a))
-        return split(a)
+    def counted(weights, p):
+        calls.append(np.shape(weights))
+        return split(weights, p)
 
     monkeypatch.setattr(pu6.positivity, "eigenvalue_split", counted)
     monkeypatch.setattr(pu6.positivity, "_SCAN_BLOCK", 7)
@@ -317,15 +316,15 @@ def test_scan_and_verdicts_share_one_eigenvalue_oracle(std_freqs, std_params, mo
     res = pu6.region_scan(grid, std_freqs)
     live = res.verdict != "singular"
     assert np.count_nonzero(~live) == 4 and 0 < res.positive_count() < live.sum()
-    assert sorted(calls) == sorted((live[i:i + 7].sum(), 6, 6) for i in range(0, live.size, 7))
+    assert sorted(calls) == sorted((3, live[i:i + 7].sum()) for i in range(0, live.size, 7))
     calls.clear()
     ref, _ = _reference_scan(grid, std_freqs)
-    assert calls == [(6, 6)] * live.sum()
+    assert calls == [(3,)] * live.sum()
     np.testing.assert_array_equal(res.verdict, ref["verdict"])
     np.testing.assert_array_equal(res.methods_disagree, ref["methods_disagree"])
     calls.clear()
     pu6.representation_positivity((98.0, -16.0, 0.4), std_params)
-    assert calls == [(6, 6)]
+    assert calls == [(3,)]
 
 
 README_GRID = _grid(("c2", -30, 0), ("c3", 0, 150), "c1", 1.0, 200, 200)
@@ -416,7 +415,8 @@ def test_scan_threshold_cell_agrees_with_per_cell_solve():
     """
     f = pu6.frequency_triple(2.130662573341623, 1.513206935793438, 0.9192824061847678)
     c2, c3 = -11.30269773347182, 28.643845596032875
-    c = pu6.coeffs_from_tensor(1.0, c2, c3, pu6.params_from_frequencies(f))
+    p = pu6.params_from_frequencies(f)
+    c = pu6.coeffs_from_tensor(1.0, c2, c3, p)
     assert pu6.tensor_weight_polynomials(1.0, c2, c3, f)[1] > 0.0
     grid = _grid(("c2", c2, c2), ("c3", c3, c3), "c1", 1.0, 1, 1)
     res = pu6.region_scan(grid, f)
@@ -425,7 +425,7 @@ def test_scan_threshold_cell_agrees_with_per_cell_solve():
     pref = pu6.hbar_prefactors(*c.hamiltonian_weights, f)
     np.testing.assert_allclose(res.prefactors[0], pref, rtol=1e-12)
     assert pref[1] < 0.0 < min(pref[0], pref[2])
-    lam = pu6.positivity_verdict(c, f, method="eigenvalue").min_eigenvalue
+    lam = pu6.eigenvalue_verdict(c.hamiltonian_weights, p, f).min_eigenvalue
     assert res.min_eigenvalue[0] == pytest.approx(lam, rel=1e-12) and lam < 0.0
 
 
@@ -523,3 +523,8 @@ def test_grid_spec_validation():
             fixed_name="c3",
             fixed_value=1.0,
         )
+    c2 = pu6.AxisSpec("c2", 0, 1, 2)
+    for axis, fixed in ((pu6.AxisSpec("c1", 0, 1, 0), 1.0), (pu6.AxisSpec("c1", 1, 0, 2), 1.0),
+                        (pu6.AxisSpec("c1", 0, 1, 2), float("nan"))):
+        with pytest.raises(pu6.ConfigError, match="bad axis|fixed weight must be finite"):
+            pu6.GridSpec(axis1=axis, axis2=c2, fixed_name="c3", fixed_value=fixed)

@@ -107,6 +107,23 @@ def test_transformed_coefficients_refuse_energy_outside_the_span(std_params):
     assert exc.value.residual > 1e-3
 
 
+@pytest.mark.parametrize("broken, message", [
+    ("relabel", r"pattern \('PU', 'PU', 'PU'\) does not match the declared .* for Tb1"),
+    ("projection", "equation 0: .* is neither oscillator-equivalent nor trivially vanishing"),
+])
+def test_equivalence_check_refuses_a_broken_representation(std_params, broken, message):
+    """A Ta2 relabelled Tb1, or one projection entry scaled by 1.01, fails its check."""
+    rep = pu6.build_representation("Ta2", std_params)
+    if broken == "relabel":
+        bad = dataclasses.replace(rep, kind="Tb1")
+    else:
+        m = rep.projection.matrix.copy()
+        m[0, 0] *= 1.01
+        bad = dataclasses.replace(rep, projection=pu6.StateProjection(m))
+    with pytest.raises(pu6.EquivalenceFailure, match=message):
+        pu6.equivalence_check(bad, std_params)
+
+
 def test_ta2_decoupled_residual(std_params):
     rep = pu6.build_representation("Ta2", std_params)
     # x oscillates at b_x = 9: q(t) = cos(3t) projects onto the x equation
