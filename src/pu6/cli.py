@@ -251,9 +251,7 @@ def cmd_represent(cfg: RunConfig, out: Optional[str]) -> int:
     kind = sec.get("kind", "Ta2")
     choices = sec.get("free_choices", {})
     p = cfg.params
-    if kind == "Ta2" and cfg.tol is not None:  # the builder classifies at the default tol
-        cfg.frequencies.require_distinct("the decoupled family")
-    rep = representations.build_representation(kind, p, choices)
+    rep = representations.build_representation(kind, p, choices, cfg.tol)
     report = representations.equivalence_check(rep, p)
     c456 = representations.transformed_coefficients(rep, p)
     verdict = representations.representation_positivity(c456, p)

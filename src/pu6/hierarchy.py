@@ -175,7 +175,8 @@ def coeffs_dual(c4: float, c5: float, c6: float, p: PUParams) -> CombinationCoef
 
 
 def _weighted_sum(weights, mats) -> np.ndarray:
-    """sum_k w_k M_k for three matrices; stacked weights (...,) give stacked sums (..., 6, 6)."""
+    """sum_k w_k M_k for three matrices; stacked weights (...,) give stacked sums (..., 6, 6).
+    ``positivity.eigenvalue_split`` sums H1..H3's blocks in this same order: change both."""
     return sum(np.asarray(w)[..., None, None] * m for w, m in zip(weights, mats))
 
 

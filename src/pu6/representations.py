@@ -129,8 +129,8 @@ class EquivalenceReport:
     trajectory_residuals: Optional[tuple[float, float, float]] = None
 
 
-def _build_ta2(p: PUParams, choices: dict) -> Representation:
-    f = frequencies_from_params(p)
+def _build_ta2(p: PUParams, choices: dict, tol: Optional[float]) -> Representation:
+    f = frequencies_from_params(p, tol)
     f.require_distinct("the decoupled family")
     a = choices.get("a", (1.0, 1.0, 1.0))
     # default permutations pair each row with the two frequencies it does not own
@@ -176,7 +176,7 @@ def ta1_radicand(p: PUParams) -> float:
     )
 
 
-def _build_ta1(p: PUParams, choices: dict) -> Representation:
+def _build_ta1(p: PUParams, choices: dict, tol: Optional[float]) -> Representation:
     branch = choices.get("branch", +1)
     R = ta1_radicand(p)
     if R < 0.0:
@@ -203,7 +203,7 @@ def _build_ta1(p: PUParams, choices: dict) -> Representation:
     )
 
 
-def _build_tb1(p: PUParams, choices: dict) -> Representation:
+def _build_tb1(p: PUParams, choices: dict, tol: Optional[float]) -> Representation:
     al, be, ga = p.alpha, p.beta, p.gamma
     if al == 0.0:
         raise ZeroDenominator("the scale tau2 = (1 +/- sqrt(...))/(2 alpha) needs alpha != 0")
@@ -262,7 +262,7 @@ def tc1_radicand(p: PUParams, mu0: float, nu0: float, tau0: float) -> float:
     return _tc1_terms(p, mu0, nu0, tau0)[3]
 
 
-def _build_tc1(p: PUParams, choices: dict) -> Representation:
+def _build_tc1(p: PUParams, choices: dict, tol: Optional[float]) -> Representation:
     p.require_gamma()
     mu0 = choices.get("mu0", 1.0)
     nu0 = choices.get("nu0", 1.0)
@@ -317,10 +317,13 @@ _CHOICES = {
 }
 
 
-def build_representation(kind: str, p: PUParams, free_choices: Optional[dict] = None) -> Representation:
+def build_representation(
+    kind: str, p: PUParams, free_choices: Optional[dict] = None, tol: Optional[float] = None
+) -> Representation:
     """Construct one of the named families at the given model parameters.
 
     The free choices are converted here, so a malformed one is a ConfigError.
+    ``tol`` (default ``DEGENERACY_TOL``) classifies the frequencies Ta2 needs distinct.
     """
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -332,7 +335,7 @@ def build_representation(kind: str, p: PUParams, free_choices: Optional[dict] = 
     for k in ("branch", "tau2_branch", "g3_branch"):
         if choices.get(k, 1) not in (-1, 1):
             raise ConfigError(f"free_choices.{k} must be +1 or -1, got {choices[k]}")
-    return _BUILDERS[kind](p, choices)
+    return _BUILDERS[kind](p, choices, tol)
 
 
 def project_state(r: Representation, p: PUParams, s) -> tuple[np.ndarray, np.ndarray]:

@@ -469,15 +469,24 @@ def test_represent_to_redirected_stdout(tmp_path):
     assert json.loads(captured.getvalue())["equivalence_pattern"] == ["PU", "PU", "PU"]
 
 
-def test_represent_ta2_honours_tol(tmp_path, capsys):
-    """A triple distinct at the default tol but degenerate at --tol 1e-3 has no Ta2 family."""
-    cfg = {"model": {"omegas": [3, 2.0001, 2]}, "represent": {"kind": "Ta2"}}
-    argv = ["--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o.json")]
-    assert cli.main(argv + ["--tol", "1e-3", "represent"]) == 1
+@pytest.mark.parametrize("omegas, tol, code", [
+    ([3, 2.0001, 2], ["--tol", "1e-3"], 1),  # distinct at the default tol, degenerate at 1e-3
+    ([3, 2.0001, 2], [], 0),
+    ([3, 2.0001, 2], ["--tol", "1e-12"], 0),
+    ([3, 2 + 1e-10, 2], ["--tol", "1e-12"], 1),  # within the rounding floor at any tol
+])
+def test_represent_ta2_honours_tol(tmp_path, capsys, omegas, tol, code):
+    """represent Ta2 refuses a triple for want of distinct frequencies exactly when scan does."""
+    cfg = _scan_cfg()
+    cfg["model"] = {"omegas": omegas}
+    cfg["represent"] = {"kind": "Ta2"}
+    argv = ["--config", _write(tmp_path, "c.json", cfg), *tol]
+    assert cli.main(argv + ["--out", str(tmp_path / "o.json"), "represent"]) == code
     err = capsys.readouterr().err
-    assert err.startswith("error: the decoupled family needs pairwise distinct frequencies, got (")
-    assert err.count("\n") == 1 and not (tmp_path / "o.json").exists()
-    assert cli.main(argv + ["represent"]) == 0
+    if code:
+        assert err.startswith("error: the decoupled family needs pairwise distinct frequencies, got (")
+        assert err.count("\n") == 1 and not (tmp_path / "o.json").exists()
+    assert cli.main(argv + ["--out", str(tmp_path / "o.csv"), "scan"]) == (2 if code else 0)
 
 
 def test_represent_complex_branch_exit_4(tmp_path):
