@@ -4,6 +4,9 @@ Configuration comes from a JSON file plus flag overrides; every output is
 deterministic for a fixed config and seed (CSV uses '.' decimals and 17
 significant digits so doubles round-trip exactly).
 
+Each subcommand imports the modules it runs when it runs, so a process
+loads only its own subcommand's modules.
+
 Exit codes: 0 success, 1 failed verification, 2 malformed configuration or
 an output that cannot be written, 3 overflow during integration, 4 complex
 representation branch.  Errors map to codes 1-4 through ``EXIT_TABLE``.
@@ -15,13 +18,13 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import dynamics, positivity, representations, verification
 from .core import (
     PUParams,
     canonical_units,
@@ -121,20 +124,36 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> RunConfig
     )
 
 
+class _OutputError(OSError):
+    """An OSError raised by ``_output``, which already names its path."""
+
+
 @contextlib.contextmanager
 def _output(path: Optional[str]):
     """The file at ``path``, or the sys.stdout current at call time when no path is given.
 
     An OSError from opening or writing the file is raised again as one that names ``path``.
+    When the body raises, the file is removed if this call created it; a path that existed
+    before (a user's file, a device such as /dev/full, a directory) is never removed.
     """
     if path is None:
         yield sys.stdout
         return
+    created = False
     try:
-        with open(path, "w") as fh:
+        try:
+            fh, created = open(path, "x"), True
+        except FileExistsError:
+            fh = open(path, "w")
+        with fh:
             yield fh
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    except BaseException as exc:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        if isinstance(exc, OSError) and not isinstance(exc, _OutputError):
+            raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
 
 
 def _write_json(path: Optional[str], obj: dict) -> None:
@@ -144,6 +163,8 @@ def _write_json(path: Optional[str], obj: dict) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
+    from . import dynamics
+
     sec = cfg.section("simulate")
     dt = config_value(sec.get("dt", 1e-3), "simulate.dt")
     t_end = config_value(sec.get("t_end", 20.0), "simulate.t_end")
@@ -187,8 +208,6 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
     hvals, drift = dynamics.trajectory_hamiltonians(traj, p)  # overflow exits before any file opens
     base = out or "trajectory"
     csv_path, json_path = base + ".csv", base + ".json"
-    with _output(csv_path) as fh:
-        dynamics.trajectory_csv(traj, hvals, fh)
     summary = {
         "method": traj.method,
         "dt": dt,
@@ -198,12 +217,17 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
     }
     if divergent is not None:
         summary["divergent_mode_present"] = bool(divergent)
-    _write_json(json_path, summary)
+    with _output(csv_path) as fh:  # a JSON that cannot be written removes a new CSV too
+        dynamics.trajectory_csv(traj, hvals, fh)
+        fh.close()
+        _write_json(json_path, summary)
     print(f"wrote {csv_path} and {json_path}")
     return EXIT_OK
 
 
 def cmd_verify(cfg: RunConfig, out: Optional[str]) -> int:
+    from . import verification
+
     n_random = config_value(
         cfg.section("verify").get("n_random", 20), "verify.n_random", int, minimum=0
     )
@@ -229,6 +253,8 @@ def cmd_verify(cfg: RunConfig, out: Optional[str]) -> int:
 
 
 def cmd_scan(cfg: RunConfig, out: Optional[str]) -> int:
+    from . import positivity
+
     sec = cfg.sections.get("scan")
     if sec is None:
         raise ConfigError("scan requires a 'scan' section with the grid spec")
@@ -247,6 +273,8 @@ def cmd_scan(cfg: RunConfig, out: Optional[str]) -> int:
 
 
 def cmd_represent(cfg: RunConfig, out: Optional[str]) -> int:
+    from . import representations
+
     sec = cfg.section("represent")
     kind = sec.get("kind", "Ta2")
     choices = sec.get("free_choices", {})

@@ -32,7 +32,9 @@ Q, QD, QDD, Q3T, Q4T, Q5T = range(6)
 # the columns of FrequencyTriple.pairs and every per-pair result follow this order
 PAIRS = ((1, 2), (1, 3), (2, 3))
 
-# relative gap of squared frequencies under which a pair is degenerate
+# relative gap of squared frequencies under which a pair is degenerate; ``_classified``'s
+# rounding floor already spans at least about 2.4e-7 for a pair (4.8e-5 for the triple),
+# so a tol below that, this default included, changes no class
 DEGENERACY_TOL = 1e-9
 
 _EPS = float(np.finfo(float).eps)
@@ -155,6 +157,11 @@ class QuadraticForm:
         return self.matrix @ np.asarray(q, dtype=float)
 
 
+def _form_values(states: np.ndarray, matrices) -> list[np.ndarray]:
+    """Per matrix A, H(s(t)) = s^T A s / 2 along the rows of ``states``."""
+    return [0.5 * np.einsum("ti,ij,tj->t", states, a, states) for a in matrices]
+
+
 @dataclass(frozen=True)
 class PoissonTensor:
     """Antisymmetric 6x6 bracket tensor with a provenance tag (J1, J2, J3 or combination)."""
@@ -211,7 +218,11 @@ def _classified(roots, p: PUParams, tol: Optional[float]) -> FrequencyTriple:
     for a pair with third root b.  A cluster of unequal roots becomes the
     multiple root, a root of a derivative of the cubic: alpha/3, or for a
     pair the critical point d on its side, the third root then alpha - 2 d.
-    Unclustered roots must be real, and every root positive.
+    Unclustered roots must be real, and every root positive.  The floor alone
+    spans a relative gap of at least (256 eps)^(1/2) ~ 2.4e-7 for a pair and
+    2 (64 eps)^(1/3) ~ 4.8e-5 for the triple, so a ``tol`` below it, the
+    default included, changes no class: omegas (3, 2 + 1e-7, 2) are
+    PARTIALLY_DEGENERATE at tol 0, 1e-12 and 1e-9 alike.
     """
     tol = DEGENERACY_TOL if tol is None else tol
     lam = sorted(map(complex, np.ravel(roots)), key=lambda z: -z.real)

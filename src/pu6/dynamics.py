@@ -38,6 +38,7 @@ from .core import (
     PoissonTensor,
     PUParams,
     QuadraticForm,
+    _form_values,
     _model_matrices,
     _read_only_field,
     as_state,
@@ -383,11 +384,6 @@ def _require_finite(what: str, times: np.ndarray, values: np.ndarray) -> None:
 def value_drift(values) -> np.ndarray:
     """Per sequence H(s(t)), max_t |H(s(t)) - H(s(0))| / max(|H(s(0))|, floor)."""
     return np.array([float(np.abs(v - v[0]).max() / max(abs(v[0]), 1e-300)) for v in values])
-
-
-def _form_values(states: np.ndarray, matrices) -> list[np.ndarray]:
-    """Per matrix A, H(s(t)) = s^T A s / 2 along the rows of ``states``."""
-    return [0.5 * np.einsum("ti,ij,tj->t", states, a, states) for a in matrices]
 
 
 def conservation_drift(traj: Trajectory, forms: Sequence[QuadraticForm]) -> np.ndarray:

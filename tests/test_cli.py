@@ -657,6 +657,74 @@ def test_failed_csv_part_exits_2_naming_the_output(tmp_path, capsys, monkeypatch
         f"output error: cannot write {out}: the process formatting rows 1..2 exited with 1\n")
 
 
+def _header_then(error):
+    """A ``write_csv`` that writes the CSV header and then raises ``error``."""
+    def failed(self, stream):
+        stream.write("c_x,c_y\n")
+        raise error
+    return failed
+
+
+@pytest.mark.parametrize("existed", [False, True])
+def test_failed_output_removes_only_a_file_it_created(tmp_path, capsys, monkeypatch, existed):
+    monkeypatch.setattr(pu6.positivity.RegionScanResult, "write_csv",
+                        _header_then(OSError("disk gone")))
+    out = tmp_path / "partial.csv"
+    if existed:
+        out.write_text("a user's file\n")
+    cfg = _write(tmp_path, "c.json", _scan_cfg())
+    assert cli.main(["--config", cfg, "--out", str(out), "scan"]) == 2
+    assert capsys.readouterr().err == f"output error: cannot write {out}: disk gone\n"
+    assert out.exists() == existed  # an existing path is truncated, as any run truncates it
+
+
+def test_output_removed_after_any_error_in_the_writer(tmp_path, monkeypatch):
+    monkeypatch.setattr(pu6.positivity.RegionScanResult, "write_csv",
+                        _header_then(RuntimeError("bug")))
+    out = tmp_path / "partial.csv"
+    with pytest.raises(RuntimeError, match="bug"):
+        cli.main(["--config", _write(tmp_path, "c.json", _scan_cfg()), "--out", str(out), "scan"])
+    assert not out.exists()
+
+
+def test_output_onto_a_directory_keeps_it(tmp_path, capsys):
+    out = tmp_path / "region"
+    out.mkdir()
+    cfg = _write(tmp_path, "c.json", _scan_cfg())
+    assert cli.main(["--config", cfg, "--out", str(out), "scan"]) == 2
+    assert capsys.readouterr().err == f"output error: cannot write {out}: Is a directory\n"
+    assert out.is_dir()
+
+
+@pytest.mark.parametrize("csv_existed", [False, True])
+def test_simulate_json_failure_removes_a_csv_it_created(tmp_path, capsys, csv_existed):
+    cfg = {**_model321(), "simulate": {"dt": 0.1, "t_end": 1.0}}
+    base = tmp_path / "run"
+    (tmp_path / "run.json").mkdir()  # the summary cannot be written
+    if csv_existed:
+        (tmp_path / "run.csv").write_text("a user's file\n")
+    assert cli.main(["--config", _write(tmp_path, "c.json", cfg), "--out", str(base),
+                     "simulate"]) == 2
+    assert capsys.readouterr() == ("", f"output error: cannot write {base}.json: Is a directory\n")
+    assert (tmp_path / "run.csv").exists() == csv_existed
+    assert (tmp_path / "run.json").is_dir()
+
+
+def test_simulate_csv_failure_writes_neither_file(tmp_path, capsys, monkeypatch):
+    def failed(traj, hvals, stream):
+        stream.write("t,q,qdot,qddot,q3t,q4t,q5t,H1,H2,H3\n")
+        raise OSError("the process formatting rows 5..10 exited with 1")
+
+    monkeypatch.setattr(pu6.dynamics, "trajectory_csv", failed)
+    cfg = {**_model321(), "simulate": {"dt": 0.1, "t_end": 1.0}}
+    base = tmp_path / "run"
+    assert cli.main(["--config", _write(tmp_path, "c.json", cfg), "--out", str(base),
+                     "simulate"]) == 2
+    assert capsys.readouterr().err == (
+        f"output error: cannot write {base}.csv: the process formatting rows 5..10 exited with 1\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 @pytest.mark.parametrize(
     "model",
     [{"alpha": 1e300, "beta": 1e300, "gamma": 1e300}, {"alpha": 1e160, "beta": 1, "gamma": 1},
