@@ -10,8 +10,8 @@ Three independent routes produce the same H_n:
 * recursion route: A_{n+1} = J2^{-1} J1 A_n, inverting one constant tensor.
 
 Linear combinations Jbar = c1 J1 + c2 J2 + c3 J3 and Hbar = c4 H1 + c5 H2 +
-c6 H3 (``_hbar_matrix``) reproduce the original flow exactly when the
-coefficient triples are dual to each other; both directions are provided.
+c6 H3, each summed by ``_weighted_sum``, reproduce the original flow exactly
+when the coefficient triples are dual to each other; both directions are provided.
 """
 from __future__ import annotations
 
@@ -149,8 +149,7 @@ def _duality_matrices(ham: np.ndarray, p: PUParams) -> np.ndarray:
 
 def _dual_weights(ham: np.ndarray, p: PUParams):
     """``coeffs_dual`` for weights (n, 3): regular rows' tensor weights, (n,) mask, (n, 3) factors."""
-    m = np.linalg.eigvals(_ladder_matrix(p).T)  # the pair products m
-    factors = ham[:, 2, None] * m * m + ham[:, 1, None] * m + ham[:, 0, None]
+    factors = _pair_quadratic(*ham.T, np.linalg.eigvals(_ladder_matrix(p).T))  # m: pair products
     scale = np.maximum(np.abs(ham).max(axis=1), np.abs(factors).max(axis=1))
     ok = ~(np.abs(factors).min(axis=1) < 1e-12 * np.maximum(scale, 1e-300))
     e1 = np.broadcast_to([[1.0], [0.0], [0.0]], (int(ok.sum()), 3, 1))  # e1 per system
@@ -174,10 +173,15 @@ def coeffs_dual(c4: float, c5: float, c6: float, p: PUParams) -> CombinationCoef
     return CombinationCoeffs(*tensor[0], c4, c5, c6)
 
 
+def _pair_quadratic(a0, a1, a2, m) -> np.ndarray:
+    """(a0 + a1 m) + (a2 m) m at the 3 pair products m; stacked a_k (...,) give (..., 3)."""
+    a0, a1, a2 = (np.asarray(a)[..., None] for a in (a0, a1, a2))
+    return a0 + a1 * m + a2 * m * m
+
+
 def _weighted_sum(weights, mats) -> np.ndarray:
-    """sum_k w_k M_k for three matrices; stacked weights (...,) give stacked sums (..., 6, 6).
-    ``positivity.eigenvalue_split`` sums H1..H3's blocks in this same order: change both."""
-    return sum(np.asarray(w)[..., None, None] * m for w, m in zip(weights, mats))
+    """((0 + w1 M1) + w2 M2) + w3 M3; stacked weights (...,) give (..., *M_k.shape)."""
+    return sum(np.multiply.outer(w, m) for w, m in zip(weights, mats))
 
 
 def _span_weights(cols: np.ndarray, target: np.ndarray):
@@ -219,15 +223,9 @@ def coeffs_from_tensor(c1: float, c2: float, c3: float, p: PUParams) -> Combinat
     return CombinationCoeffs(c1, c2, c3, *ham)
 
 
-def _hbar_matrix(weights, p: PUParams) -> np.ndarray:
-    """c4 H1 + c5 H2 + c6 H3 for scalar or stacked weights, (..., 6, 6); symmetric as H1..H3 are."""
-    _, hs, _ = _model_matrices(p)
-    return _weighted_sum(weights, hs)
-
-
 def combined_form(c: CombinationCoeffs, p: PUParams) -> QuadraticForm:
     """The combined Hamiltonian c4 H1 + c5 H2 + c6 H3 as a form."""
-    return QuadraticForm(_hbar_matrix(c.hamiltonian_weights, p))
+    return QuadraticForm(_weighted_sum(c.hamiltonian_weights, _model_matrices(p)[1]))
 
 
 def _combined_flows(tensor: np.ndarray, ham: np.ndarray, p: PUParams) -> np.ndarray:

@@ -494,7 +494,7 @@ def representation_positivity(
     physical and the witness is mapped back to the physical state.
     """
     rho, pc = canonical_units(p)
-    v = eigenvalue_verdict(np.multiply(weights, rho ** _WEIGHT_EXPONENTS), pc, None)
+    v = eigenvalue_verdict(np.multiply(weights, rho ** _WEIGHT_EXPONENTS), pc)
     try:
         f = frequencies_from_params(p)
     except ComplexFrequencies:

@@ -186,7 +186,7 @@ def test_criterion_7c_witness_point():
     # negative, giving the (1,3) block a negative weight and the combined
     # Hamiltonian two negative eigenvalues.  Expected to FAIL; kept as stated.
     c = pu6.coeffs_from_tensor(1.0, -20.0, 150.0, STD)
-    v_eig = pu6.eigenvalue_verdict(c.hamiltonian_weights, STD, STD_F)
+    v_eig = pu6.eigenvalue_verdict(c.hamiltonian_weights, STD)
     v_pref = pu6.positivity_verdict(c, STD_F)
     ok = v_eig.positive and v_pref.positive
     _report(

@@ -467,7 +467,7 @@ def test_eigenvalue_split_matches_full_spectrum(p, rng):
     scales = [np.abs(h).max() for h in hs]
     weights = rng.standard_normal((300, 3)) / scales  # each H_k's share of similar size
     weights = np.vstack([weights, _positive_weights(p), np.eye(3)])
-    a = pu6.hierarchy._hbar_matrix(weights.T, p)
+    a = pu6.hierarchy._weighted_sum(weights.T, hs)
     lam, positive = pu6.positivity.eigenvalue_split(weights.T, p)
     full = np.linalg.eigvalsh(a)
     norm = np.abs(full).max(axis=-1)

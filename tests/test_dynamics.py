@@ -261,6 +261,21 @@ def test_linear_rk4_large_secular_state_stays_finite():
 
 
 @pytest.mark.parametrize(
+    "initial, step", [(1e304 * np.ones(6), "t=67 "), ([1e304, -1e304, 0.0, 0.0, 0.0, 0.0], "t=134.5 ")]
+)
+def test_linear_rk4_secular_overflow_matches_reference(initial, step):
+    # large secular states: products with 6Q/dt, about six times the loop's
+    # stages, would overflow first (at t=51 and t=100)
+    p = pu6.params_from_frequencies(pu6.frequency_triple(1.0, 1.0, 1.0))
+    with pytest.raises(pu6.NonFinite) as expected:
+        _stage_loop_rk4(p, initial, 150.0, 0.5)
+    with pytest.raises(pu6.NonFinite) as got:
+        pu6.integrate_rk4(p, initial, t_end=150.0, dt=0.5)
+    assert step in str(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
     "omegas, dt", [((1.0, 1.0, 1.0), 0.5), ((2.0, 2.0, 2.0), 0.2), ((2.0, 2.0, 2.0), 0.05)]
 )
 def test_linear_rk4_secular_coarse_step_deviation_is_bounded(omegas, dt):

@@ -81,8 +81,7 @@ def _scan_result(n1: int, n2: int, seed: int) -> pu6.positivity.RegionScanResult
     lam[verdict == "singular"] = np.nan
     pref[verdict == "singular"] = np.nan
     return pu6.positivity.RegionScanResult(
-        grid, pu6.frequency_triple(3.0, 2.0, 1.0), np.repeat(xs, n2), np.tile(ys, n1),
-        verdict, lam, pref, np.zeros(n1 * n2, dtype=bool))
+        grid, np.repeat(xs, n2), np.tile(ys, n1), verdict, lam, pref, np.zeros(n1 * n2, dtype=bool))
 
 
 @_SETTINGS

@@ -114,7 +114,7 @@ def test_pure_h1_prefactor_values(std_freqs):
 def test_verdict_positive_point(std_freqs, std_params):
     c = pu6.coeffs_from_tensor(1.0, -18.0, 80.0, std_params)
     assert pu6.positivity_verdict(c, std_freqs).positive
-    assert pu6.eigenvalue_verdict(c.hamiltonian_weights, std_params, std_freqs).positive
+    assert pu6.eigenvalue_verdict(c.hamiltonian_weights, std_params).positive
 
 
 def test_verdict_indefinite_point(std_freqs, std_params):
@@ -122,7 +122,7 @@ def test_verdict_indefinite_point(std_freqs, std_params):
     # (1,3) block carries a negative weight: two negative directions
     c = pu6.coeffs_from_tensor(1.0, -20.0, 150.0, std_params)
     v_pref = pu6.positivity_verdict(c, std_freqs)
-    v_eig = pu6.eigenvalue_verdict(c.hamiltonian_weights, std_params, std_freqs)
+    v_eig = pu6.eigenvalue_verdict(c.hamiltonian_weights, std_params)
     assert not v_pref.positive
     assert not v_eig.positive
     assert v_eig.min_eigenvalue < -1.0
@@ -136,7 +136,7 @@ def test_verdict_single_nonzero_weight_never_positive(std_freqs, std_params):
             c = pu6.coeffs_from_tensor(*weights, std_params)
         except pu6.SingularCombination:
             continue
-        v = pu6.eigenvalue_verdict(c.hamiltonian_weights, std_params, std_freqs)
+        v = pu6.eigenvalue_verdict(c.hamiltonian_weights, std_params)
         assert not v.positive, weights
 
 
@@ -151,7 +151,7 @@ def test_verdict_methods_agree_at_random_points(std_freqs, std_params, rng):
             v_pref = pu6.positivity_verdict(c, std_freqs)
         except pu6.SingularCombination:
             continue
-        v_eig = pu6.eigenvalue_verdict(c.hamiltonian_weights, std_params, std_freqs)
+        v_eig = pu6.eigenvalue_verdict(c.hamiltonian_weights, std_params)
         pref = np.asarray(v_pref.prefactors)
         if np.abs(pref).min() <= 1e-8 * np.abs(pref).max():
             continue  # boundary band
@@ -248,7 +248,7 @@ def _reference_scan(grid, f):
                 rows.append((x, y, "singular", np.nan, nan3, False))
                 norms.append(np.nan)
                 continue
-            by_eig = pu6.eigenvalue_verdict(c.hamiltonian_weights, p, f)
+            by_eig = pu6.eigenvalue_verdict(c.hamiltonian_weights, p)
             rows.append((
                 x, y, "positive" if by_pref.positive else "not_positive",
                 by_eig.min_eigenvalue, by_pref.prefactors, by_pref.positive != by_eig.positive,
@@ -425,7 +425,7 @@ def test_scan_threshold_cell_agrees_with_per_cell_solve():
     pref = pu6.hbar_prefactors(*c.hamiltonian_weights, f)
     np.testing.assert_allclose(res.prefactors[0], pref, rtol=1e-12)
     assert pref[1] < 0.0 < min(pref[0], pref[2])
-    lam = pu6.eigenvalue_verdict(c.hamiltonian_weights, p, f).min_eigenvalue
+    lam = pu6.eigenvalue_verdict(c.hamiltonian_weights, p).min_eigenvalue
     assert res.min_eigenvalue[0] == pytest.approx(lam, rel=1e-12) and lam < 0.0
 
 
@@ -506,13 +506,22 @@ def test_scan_csv_does_not_depend_on_block_size(std_freqs, monkeypatch, grid, si
         assert csv_text() == default, block
 
 
-def test_stacked_weights_match_scalar_calls(std_freqs, rng):
+def test_stacked_weights_match_scalar_calls(std_freqs, std_params, rng):
     w = rng.normal(size=(3, 7)) * [[1.0], [20.0], [100.0]]
-    for fn in (pu6.hbar_prefactors, pu6.tensor_weight_polynomials):
+
+    def dual_factors(c4, c5, c6, _):  # coeffs_dual's denominator factors, one row per cell
+        return pu6.hierarchy._dual_weights(np.column_stack([c4, c5, c6]), std_params)[2]
+
+    for fn in (pu6.hbar_prefactors, pu6.tensor_weight_polynomials, dual_factors):
         stacked = fn(*w, std_freqs)
         assert stacked.shape == (7, 3)
         for row, cell in zip(stacked, w.T):
-            np.testing.assert_array_equal(row, fn(*cell, std_freqs))
+            np.testing.assert_array_equal(row, np.squeeze(fn(*cell, std_freqs)))
+    # the factors are the prefactors' numerators c4 + c5 m + c6 m^2, up to the order of m
+    numerators = pu6.hbar_prefactors(*w, std_freqs) * std_freqs.pairs[3]
+    factors = dual_factors(*w, std_freqs)
+    np.testing.assert_allclose(np.sort(factors.real), np.sort(numerators), rtol=1e-12,
+                               atol=1e-12 * np.abs(numerators).max())
 
 
 def test_grid_spec_validation():
