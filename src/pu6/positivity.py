@@ -40,6 +40,7 @@ _EIG_REL_TOL = 1e-10  # eigenvalue rule: positive iff lambda_min > _EIG_REL_TOL 
 _PARITY = np.array([[0, 2, 4], [1, 3, 5]])  # even and odd slots under time reversal
 _BLOCKS = DIM * _PARITY[:, :, None] + _PARITY[:, None, :]  # flat indices of the 2 parity blocks
 _SCAN_BLOCK = 1024  # grid cells per region_scan pool task
+_FAR_BAND = 0.1  # region_scan's closed-form weights need min|P_jk| >= _FAR_BAND * max|P_jk|
 _BLOCK_MACHINERY = "positive-block machinery"  # what the distinct-frequency rule names
 
 
@@ -291,12 +292,27 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
     """Evaluate both positivity routes on every grid cell.
 
     The flat row-major columns are allocated once and filled in blocks of
-    ``_SCAN_BLOCK`` cells: one stacked duality solve, the singularity mask,
-    the prefactors and one ``eigenvalue_split`` on the weights of the
-    block's non-singular cells.  A singular tensor combination (from the
-    duality or the tensor-weight polynomials) is a cell status, not an
-    abort.  The two routes may disagree only in the band where a prefactor
-    crosses zero.
+    ``_SCAN_BLOCK`` cells: the tensor-weight polynomials, the Hamiltonian
+    weights, the singularity mask, the prefactors and one
+    ``eigenvalue_split`` on the weights of the block's non-singular cells.
+    A singular tensor combination (from the duality or the tensor-weight
+    polynomials) is a cell status, not an abort.  The two routes may
+    disagree only in the band where a prefactor crosses zero.
+
+    The weights take one of two routes.  A cell far from that band, where
+    min|P_jk| >= ``_FAR_BAND`` (0.1) max|P_jk| with max|P_jk| finite and
+    non-zero, gets the closed form V^-1 (m^2 / P(m)): V has rows
+    (1, m, m^2) over the pair products, is inverted once per grid, and
+    ``_weighted_sum`` applies it elementwise.  Every other cell (near-band,
+    rank-0, or with non-finite closed-form weights) gets the 36x3 least
+    squares of ``coeffs_from_tensor`` (``hierarchy._tensor_duality``),
+    stacked over those cells, so its weights, singular verdict and CSV row
+    keep that solve's bits.  The benchmark's scan check recomputes cells
+    with that least squares at a 1e-10 eigenvalue bound, and near the band
+    the closed form differs from it by more (on 20 and 8 cells of scan-grid
+    seeds 101 and 102).  Far cells sit within 0.037x that bound and 0.005x
+    the prefactor bound (20 000 sampled cells of seeds 101-120); the cells
+    a cut of 0.01 would add reach 0.35x.
 
     Blocks run on a thread pool, one worker per usable CPU (at most one per
     block), and each writes only its own slices; the stacked SVD and
@@ -305,23 +321,10 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
     GIL over (README grid: 0.61 s on one worker, 0.37-0.50 s on two, and
     0.26-0.28 s on two with 1024-cell blocks).  Larger blocks are no faster
     but raise peak RSS (scan-grid: 126.1 MB at 1024, 131.4 MB at 4096 cells).
-    Stacked LAPACK calls treat each matrix on its own, so every cell's bits,
-    and the CSV, depend on neither the block size nor the pool.  An
-    exception in a block cancels the blocks not yet started and propagates.
-
-    The duality is the 36x3 least-squares system of ``coeffs_from_tensor``,
-    solved by the same routine (``hierarchy._tensor_duality``) for the whole
-    block at once, so every cell gets the weights and the singular verdict
-    of ``coeffs_from_tensor``.  It is not an exact 3x3 solve of the duality
-    table: the benchmark's scan check (``perfbench/checks.py``) recomputes
-    cells from the same least-squares system, whose error near the boundary
-    band exceeds the 1e-10 eigenvalue bound, so a more exact solver fails it.
-    So these bits stay pinned to that reference: dropping only the 18
-    all-zero rows of the system moves lambda_min by up to 23x that bound on
-    near-band cells of scan-grid seeds 104-120 (this route: within 5e-4x).
-    Few cells move that far, so the 200-cell sample passes or fails such a change
-    by the draw: closed-form weights V^-1 (m^2 / P(m)) exceed the bound on 20 and 8
-    of the 40 000 cells of scan-grid seeds 101 and 102 (met on ~4-10 % of runs).
+    Stacked LAPACK calls treat each matrix on its own and the closed form is
+    elementwise, so every cell's bits, and the CSV, depend on neither the
+    block size nor the pool.  An exception in a block cancels the blocks
+    not yet started and propagates.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -329,6 +332,8 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
 
     f.require_distinct(_BLOCK_MACHINERY)
     p = params_from_frequencies(f)
+    m = f.pairs[0]
+    vinv_cols = np.linalg.inv(np.vander(m, 3, increasing=True)).T  # column j of V^-1 pairs with m_j
     xs, ys = _axis_values(grid.axis1), _axis_values(grid.axis2)
     c_x, c_y = np.repeat(xs, ys.size), np.tile(ys, xs.size)
     verdict = np.full(c_x.size, "singular", dtype="<U12")  # 12 = len("not_positive")
@@ -341,8 +346,17 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
         block = {grid.axis1.name: c_x[cells], grid.axis2.name: c_y[cells],
                  grid.fixed_name: grid.fixed_value}
         tensor = np.broadcast_arrays(*(block[n] for n in _AXIS_NAMES))
-        ham, _, dual = _tensor_duality(tensor, p)
-        ok = dual & ~_polynomial_vanishes(tensor_weight_polynomials(*tensor, f))
+        poly = tensor_weight_polynomials(*tensor, f)
+        size = np.abs(poly)
+        big = size.max(axis=-1)
+        far = (size.min(axis=-1) >= _FAR_BAND * big) & (0.0 < big) & (big < np.inf)
+        ham = np.empty(poly.shape)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite cell goes to the solve
+            ham[far] = _weighted_sum((m * m / poly[far]).T, vinv_cols)
+        far[far] = np.isfinite(ham[far]).all(axis=-1)
+        ok = far.copy()
+        ham[~far], _, ok[~far] = _tensor_duality([t[~far] for t in tensor], p)
+        ok &= ~_polynomial_vanishes(poly)
         weights = ham[ok].T
         pref = hbar_prefactors(*weights, f)
         lam, by_eig = eigenvalue_split(weights, p)

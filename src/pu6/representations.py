@@ -163,24 +163,24 @@ def _build_ta2(p: PUParams, choices: dict, tol: Optional[float]) -> Representati
 
 
 def ta1_radicand(p: PUParams) -> float:
+    """Radicand R of the fully coupled family: -3 u^2 - 24 alpha d + (terms of degree <= 6 in omega).
+
+    d = alpha beta - gamma and u = 3 d - alpha^2 - beta; the -27 d^2 inside -3 u^2 leads
+    at large frequencies, so R reaches -inf there (NaN once every term overflows),
+    never OverflowError.
+    """
     al, be, ga = p.alpha, p.beta, p.gamma
-    return (
-        2.0 * al ** 3 * (9.0 * be + 4.0)
-        - al ** 2 * (3.0 * be * (9.0 * be + 10.0) + 18.0 * ga + 8.0)
-        + 2.0 * al * (be * (9.0 * be + 27.0 * ga + 8.0) + 12.0 * ga + 2.0)
-        - 3.0 * al ** 4
-        - 3.0 * (be + 3.0 * ga) ** 2
-        - 4.0 * be
-        - 8.0 * ga
-        - 1.0
-    )
+    d = al * be - ga
+    u = 3.0 * d - al * al - be
+    return (-3.0 * u * u - 24.0 * al * d + 8.0 * al * al * al + 16.0 * al * be - 8.0 * ga
+            - 8.0 * al * al - 4.0 * be + 4.0 * al - 1.0)
 
 
 def _build_ta1(p: PUParams, choices: dict, tol: Optional[float]) -> Representation:
     branch = choices.get("branch", +1)
     R = ta1_radicand(p)
-    if R < 0.0:
-        raise ComplexBranch(f"fully coupled family has negative radicand {R:.6g} at {p}")
+    if not R >= 0.0:  # NaN too: a radicand beyond the float range
+        raise ComplexBranch(f"fully coupled family needs a radicand >= 0, got {R:.6g} at {p}")
     al, be, ga = p.alpha, p.beta, p.gamma
     rho1 = branch * 0.5 * math.sqrt(R)
     rho2 = al - al * al + 3.0 * al * be - 3.0 * ga

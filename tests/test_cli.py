@@ -540,6 +540,26 @@ def test_represent_tb1_far_below_unit_scale_is_a_complex_branch(tmp_path, capsys
     assert err.count("\n") == 1 and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind, message",
+    [("Ta1", "fully coupled family needs a radicand >= 0, got -inf"),
+     ("Tb1", "two-equation family needs 1 + 8 alpha (gamma - alpha beta) >= 0, got "),
+     ("Tc1", "single-equation family has negative radicand -inf")],
+)
+@pytest.mark.parametrize("k", [30, 40])
+def test_represent_far_above_unit_scale_is_a_complex_branch(tmp_path, capsys, kind, message, k):
+    """No real branch at omegas (3, 2, 1) 10^k: exit 4, one line, no JSON, no warning.
+
+    Ta1's radicand is led by -27 (alpha beta - gamma)^2 (-1.14e367 at 60
+    digits for k = 30): it overflows to -inf, never to OverflowError.
+    """
+    code, out = _represent_at_scale(tmp_path, "error", kind, k)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"complex branch: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # malformed input and the exit table
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -151,6 +152,14 @@ def test_second_order_residual_zero_inputs(std_params):
 def test_ta1_complex_branch_at_std(std_params):
     assert pu6.ta1_radicand(std_params) < 0
     with pytest.raises(pu6.ComplexBranch):
+        pu6.build_representation("Ta1", std_params)
+
+
+def test_ta1_radicand_beyond_float_range_is_a_complex_branch(std_params, monkeypatch):
+    far = pu6.params_from_frequencies(pu6.frequency_triple(3e30, 2e30, 1e30))
+    assert pu6.ta1_radicand(far) == -math.inf
+    monkeypatch.setattr(pu6.representations, "ta1_radicand", lambda p: math.nan)
+    with pytest.raises(pu6.ComplexBranch, match="got nan"):
         pu6.build_representation("Ta1", std_params)
 
 

@@ -84,3 +84,31 @@ def test_recursive_hierarchy_matches_closed_form_at_every_scale(lam):
     closed = pu6.hamiltonian_n_closed(10, p).matrix
     recursive = pu6.hamiltonian_n_recursive(10, p).matrix
     assert np.abs(recursive - closed).max() <= 1e-12 * np.abs(closed).max()
+
+
+def _readme_scan_at(k):
+    """The README scan's exact image at rho = 2^k: omegas rho (3, 2, 1), c2 rho^4 and c3 rho^8."""
+    rho = 2.0 ** k
+    grid = pu6.GridSpec(pu6.AxisSpec("c2", -30.0 * rho ** 4, 0.0, 200),
+                        pu6.AxisSpec("c3", 0.0, 150.0 * rho ** 8, 200), "c1", 1.0)
+    f = pu6.frequency_triple(3.0 * rho, 2.0 * rho, rho)
+    return pu6.region_scan(grid, f), f
+
+
+def test_scan_far_cells_keep_their_verdict_under_exact_rescaling():
+    """Every cell on the closed-form weight route has its rho = 1 verdict at rho = 2^-5..2^6.
+
+    The map scales each tensor-weight polynomial P_jk by exactly rho^8, so the
+    far cells (min|P_jk| >= 0.1 max|P_jk|, 16 % of the grid) are the same at
+    every k, and V^-1 (m^2 / P(m)) rescales with them.  The least-squares
+    route did not: at rho = 16 it called all of them singular.  The cells
+    nearer the band still take the physical-scale least squares and stay out.
+    """
+    base, f = _readme_scan_at(0)
+    size = np.abs(pu6.tensor_weight_polynomials(1.0, base.c_x, base.c_y, f))
+    far = size.min(axis=-1) >= pu6.positivity._FAR_BAND * size.max(axis=-1)
+    assert 6000 < np.count_nonzero(far) < 7000
+    assert {"positive", "not_positive"} == set(base.verdict[far])
+    for k in range(-5, 7):
+        res, _ = _readme_scan_at(k)
+        np.testing.assert_array_equal(res.verdict[far], base.verdict[far], err_msg=f"rho = 2^{k}")
