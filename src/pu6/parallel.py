@@ -1,17 +1,23 @@
-"""The usable-CPU rule, and a text writer that formats contiguous parts side by side.
+"""The usable-CPU rule, and one runner for the contiguous parts of a job.
 
-``usable_cpus`` sizes both ``region_scan``'s thread pool and the number of
-parts ``write_rows`` splits its rows into.  The CSV writers are bound by
-``%.17g`` formatting, which holds the GIL, so their parts run in forked
-processes rather than threads: each later part is formatted by a child into
-its own temporary file while the parent formats part 0 straight into the
-stream, and the parent then copies the files in order.  Every row is
-formatted by the same ``text`` call on any part count, so the bytes depend
-on neither the CPU count nor the part boundaries.
+``run_parts`` runs part 0 in the caller and the others in forked children:
+``region_scan``'s fill their slices of a shared anonymous mapping, and
+``write_rows``' format CSV rows into temporary files.  That work holds the
+GIL, so pu6 runs it in processes and starts no thread.  No byte depends on
+the part or CPU count, since every part does the same arithmetic.  A part
+whose child fails is run again in the caller, which then raises that
+part's own exception or, where only the child failed, gets clean bytes.
+
+A child reads arrays built before the fork, writes only its own slices or
+file, and leaves by ``os._exit``, so it flushes no buffer it inherited.  It
+may call LAPACK: pu6 holds no lock across the fork, and OpenBLAS shuts its
+worker threads down before a fork and starts them again where next needed.
 """
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 import warnings
 
 # Fewest output lines per part.  On a 2-CPU host a fork plus reap took
@@ -22,10 +28,38 @@ MIN_PART_LINES = 4096
 
 
 def usable_cpus(limit: int) -> int:
-    """The CPUs this process may run on, at most ``limit``."""
+    """The CPUs this process may run on, at most ``limit``; 1 without ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return min(len(os.sched_getaffinity(0)), limit)
     return min(os.cpu_count() or 1, limit)
+
+
+def run_parts(parts: int, run) -> None:
+    """Call ``run(i)`` for each part i in [0, parts): part 0 here, the others in forked children.
+
+    A part whose child fails is run again here, so ``run(i)`` must write
+    all of part i's output.  Every child is reaped before this returns.
+    """
+    pids = []
+    try:
+        for i in range(1, parts):
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                try:
+                    run(i)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+        run(0)
+    finally:
+        failed = [i for i, pid in enumerate(pids, 1) if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])]
+    for i in failed:
+        run(i)
 
 
 def _write_range(stream, text, lo: int, hi: int, step: int) -> None:
@@ -33,61 +67,33 @@ def _write_range(stream, text, lo: int, hi: int, step: int) -> None:
         stream.write(text(start, min(start + step, hi)))
 
 
-def _fork_part(tmp, text, lo: int, hi: int, step: int) -> int:
-    """Fork a child that writes rows [lo, hi) to ``tmp`` and exits; the child's pid."""
-    # The child only formats rows of arrays the parent built before the fork
-    # and writes them to its own file: it calls no BLAS, takes no lock that
-    # another thread of the parent (a BLAS worker) could hold, and leaves by
-    # os._exit, so the buffers it inherited, the caller's stream among them,
-    # are never flushed twice.  That makes the multi-threaded fork safe.
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
-        pid = os.fork()
-    if pid:
-        return pid
-    code = 1
-    try:
-        _write_range(tmp, text, lo, hi, step)
-        tmp.flush()
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def write_rows(stream, n: int, text, step: int = 1, lines: int = 1) -> None:
     """Write ``text(lo, hi)`` for the rows [0, n), at most ``step`` rows per call.
 
     Each row is ``lines`` output lines.  The rows are split into contiguous
-    parts, one per usable CPU, of at least ``MIN_PART_LINES`` lines each;
-    without ``os.fork`` there is one part.  One part is written in-process.
-    Otherwise the later parts are formatted by forked children into
-    temporary files that are copied into ``stream`` in order.  Every child is
-    reaped before this returns or raises; a child that fails is an OSError.
+    parts, one per usable CPU, of at least ``MIN_PART_LINES`` lines each.
+    Part 0 is written straight into ``stream``; ``run_parts`` formats the
+    later parts in children, into temporary files copied into ``stream`` in
+    order.
     """
-    min_rows = -(-MIN_PART_LINES // lines)
-    parts = usable_cpus(max(n // min_rows, 1)) if hasattr(os, "fork") else 1
-    if parts <= 1:
-        _write_range(stream, text, 0, n, step)
-        return
-    import shutil
-    import tempfile
-
+    parts = usable_cpus(max(n // -(-MIN_PART_LINES // lines), 1))
     cuts = [n * i // parts for i in range(parts + 1)]
-    children = []  # (pid, file, lo, hi) of each part after the first, in order
+    tmps = [tempfile.TemporaryFile("w+", encoding="utf-8", newline="") for _ in cuts[2:]]
+
+    def run(i: int) -> None:
+        if i == 0:
+            return _write_range(stream, text, 0, cuts[1], step)
+        tmp = tmps[i - 1]
+        tmp.seek(0)
+        tmp.truncate()
+        _write_range(tmp, text, cuts[i], cuts[i + 1], step)
+        tmp.flush()
+
     try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            tmp = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-            children.append((_fork_part(tmp, text, lo, hi, step), tmp, lo, hi))
-        _write_range(stream, text, 0, cuts[1], step)
-        while children:
-            pid, tmp, lo, hi = children.pop(0)
-            with tmp:
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if code != 0:
-                    raise OSError(f"the process formatting rows {lo}..{hi} exited with {code}")
-                tmp.seek(0)
-                shutil.copyfileobj(tmp, stream)
+        run_parts(parts, run)
+        for tmp in tmps:
+            tmp.seek(0)
+            shutil.copyfileobj(tmp, stream)
     finally:
-        for pid, tmp, _, _ in children:
-            os.waitpid(pid, 0)
+        for tmp in tmps:
             tmp.close()

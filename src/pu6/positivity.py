@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,8 +40,8 @@ from .hierarchy import coeffs_from_tensor  # noqa: F401  perfbench/tests checks 
 _EIG_REL_TOL = 1e-10  # eigenvalue rule: positive iff lambda_min > _EIG_REL_TOL * spectral norm
 _PARITY = np.array([[0, 2, 4], [1, 3, 5]])  # even and odd slots under time reversal
 _BLOCKS = DIM * _PARITY[:, :, None] + _PARITY[:, None, :]  # flat indices of the 2 parity blocks
-_SCAN_BLOCK = 1024  # grid cells per region_scan pool task
-_FAR_BAND = 0.1  # region_scan's closed-form weights need min|P_jk| >= _FAR_BAND * max|P_jk|
+_SCAN_BLOCK = 1024  # grid cells per region_scan block
+_FAR_BAND = 0.03  # region_scan's closed-form weights need min|P_jk| >= _FAR_BAND * max|P_jk|
 _BLOCK_MACHINERY = "positive-block machinery"  # what the distinct-frequency rule names
 
 
@@ -291,16 +292,14 @@ def _axis_values(ax: AxisSpec) -> np.ndarray:
 def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
     """Evaluate both positivity routes on every grid cell.
 
-    The flat row-major columns are allocated once and filled in blocks of
-    ``_SCAN_BLOCK`` cells: the tensor-weight polynomials, the Hamiltonian
-    weights, the singularity mask, the prefactors and one
-    ``eigenvalue_split`` on the weights of the block's non-singular cells.
-    A singular tensor combination (from the duality or the tensor-weight
-    polynomials) is a cell status, not an abort.  The two routes may
-    disagree only in the band where a prefactor crosses zero.
+    Each block of ``_SCAN_BLOCK`` row-major cells gets the tensor-weight
+    polynomials, the Hamiltonian weights, the singularity mask, the
+    prefactors and one ``eigenvalue_split`` on its non-singular cells.  A
+    singular tensor combination is a cell status, not an abort.  The two
+    routes may disagree only in the band where a prefactor crosses zero.
 
     The weights take one of two routes.  A cell far from that band, where
-    min|P_jk| >= ``_FAR_BAND`` (0.1) max|P_jk| with max|P_jk| finite and
+    min|P_jk| >= ``_FAR_BAND`` (0.03) max|P_jk| with max|P_jk| finite and
     non-zero, gets the closed form V^-1 (m^2 / P(m)): V has rows
     (1, m, m^2) over the pair products, is inverted once per grid, and
     ``_weighted_sum`` applies it elementwise.  Every other cell (near-band,
@@ -308,67 +307,71 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
     squares of ``coeffs_from_tensor`` (``hierarchy._tensor_duality``),
     stacked over those cells, so its weights, singular verdict and CSV row
     keep that solve's bits.  The benchmark's scan check recomputes cells
-    with that least squares at a 1e-10 eigenvalue bound, and near the band
-    the closed form differs from it by more (on 20 and 8 cells of scan-grid
-    seeds 101 and 102).  Far cells sit within 0.037x that bound and 0.005x
-    the prefactor bound (20 000 sampled cells of seeds 101-120); the cells
-    a cut of 0.01 would add reach 0.35x.
+    with that least squares at a 1e-10 eigenvalue bound.  Over all cells of
+    scan-grid seeds 101-120, those in [0.03, 0.1) sit within 0.157x that
+    bound and 0.017x the prefactor bound; [0.01, 0.03) reaches 0.558x and
+    [0.001, 0.01) 3.3x.  The cut leaves 5-10 % of those grids' cells, and a
+    third of the README grid's, on the least squares.
 
-    Blocks run on a thread pool, one worker per usable CPU (at most one per
-    block), and each writes only its own slices; the stacked SVD and
-    ``eigvalsh`` release the GIL.  A task per 200-cell grid row made ~40
-    short numpy calls and two workers spent much of their time handing the
-    GIL over (README grid: 0.61 s on one worker, 0.37-0.50 s on two, and
-    0.26-0.28 s on two with 1024-cell blocks).  Larger blocks are no faster
-    but raise peak RSS (scan-grid: 126.1 MB at 1024, 131.4 MB at 4096 cells).
-    Stacked LAPACK calls treat each matrix on its own and the closed form is
-    elementwise, so every cell's bits, and the CSV, depend on neither the
-    block size nor the pool.  An exception in a block cancels the blocks
-    not yet started and propagates.
+    The blocks are split into contiguous parts, one per usable CPU, run side
+    by side by ``parallel.run_parts``; the columns live in one anonymous
+    shared mapping, the verdict as uint8 codes.  Most of a block is short
+    numpy calls that hold the GIL, so a thread pool shared it badly: on a
+    2-CPU host scan-grid seed 1 took 96-120 ms on two threads at a 0.1 cut
+    and 68-92 ms in two parts at 0.03 (least of 7 calls, 3 rounds).  Blocks
+    bound the temporaries (scan-grid's peak RSS: 126.1 MB at 1024 cells,
+    131.4 MB at 4096).  Stacked LAPACK calls treat each matrix on its own
+    and the closed form is elementwise, so every cell's bits, and the CSV,
+    depend on neither the block size nor the part count.  An exception in a
+    block propagates with its own type.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    from .parallel import usable_cpus
+    from .parallel import run_parts, usable_cpus
 
     f.require_distinct(_BLOCK_MACHINERY)
     p = params_from_frequencies(f)
     m = f.pairs[0]
     vinv_cols = np.linalg.inv(np.vander(m, 3, increasing=True)).T  # column j of V^-1 pairs with m_j
-    xs, ys = _axis_values(grid.axis1), _axis_values(grid.axis2)
-    c_x, c_y = np.repeat(xs, ys.size), np.tile(ys, xs.size)
-    verdict = np.full(c_x.size, "singular", dtype="<U12")  # 12 = len("not_positive")
-    min_eigenvalue = np.full(c_x.size, np.nan)
-    prefactors = np.full((c_x.size, 3), np.nan)
-    methods_disagree = np.zeros(c_x.size, dtype=bool)
+    count = grid.axis1.n * grid.axis2.n
+    try:  # mmap reports a mapping too large for memory as an OSError
+        xs, ys = _axis_values(grid.axis1), _axis_values(grid.axis2)
+        c_x, c_y = np.repeat(xs, ys.size), np.tile(ys, xs.size)
+        shared = mmap.mmap(-1, 34 * count)
+    except (MemoryError, OSError):
+        raise ConfigError(f"a scan grid of {count} cells does not fit in memory") from None
+    floats = np.ndarray((4, count), np.float64, shared)  # min_eigenvalue, prefactors
+    flags = np.ndarray((2, count), np.uint8, shared, 32 * count)  # verdict code, disagreement
 
-    def fill_block(start: int) -> None:
-        cells = slice(start, start + _SCAN_BLOCK)
-        block = {grid.axis1.name: c_x[cells], grid.axis2.name: c_y[cells],
-                 grid.fixed_name: grid.fixed_value}
-        tensor = np.broadcast_arrays(*(block[n] for n in _AXIS_NAMES))
-        poly = tensor_weight_polynomials(*tensor, f)
-        size = np.abs(poly)
-        big = size.max(axis=-1)
-        far = (size.min(axis=-1) >= _FAR_BAND * big) & (0.0 < big) & (big < np.inf)
-        ham = np.empty(poly.shape)
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite cell goes to the solve
-            ham[far] = _weighted_sum((m * m / poly[far]).T, vinv_cols)
-        far[far] = np.isfinite(ham[far]).all(axis=-1)
-        ok = far.copy()
-        ham[~far], _, ok[~far] = _tensor_duality([t[~far] for t in tensor], p)
-        ok &= ~_polynomial_vanishes(poly)
-        weights = ham[ok].T
-        pref = hbar_prefactors(*weights, f)
-        lam, by_eig = eigenvalue_split(weights, p)
-        by_pref = np.all(pref > 0.0, axis=-1)
-        # basic slices are views, so each masked write lands in the columns
-        verdict[cells][ok] = np.where(by_pref, "positive", "not_positive")
-        min_eigenvalue[cells][ok] = lam
-        prefactors[cells][ok] = pref
-        methods_disagree[cells][ok] = by_pref != by_eig
+    def fill_part(i: int) -> None:
+        for start in range(cuts[i], cuts[i + 1], _SCAN_BLOCK):
+            cells = slice(start, start + _SCAN_BLOCK)
+            block = {grid.axis1.name: c_x[cells], grid.axis2.name: c_y[cells],
+                     grid.fixed_name: grid.fixed_value}
+            tensor = np.broadcast_arrays(*(block[n] for n in _AXIS_NAMES))
+            poly = tensor_weight_polynomials(*tensor, f)
+            size = np.abs(poly)
+            big = size.max(axis=-1)
+            far = (size.min(axis=-1) >= _FAR_BAND * big) & (0.0 < big) & (big < np.inf)
+            ham = np.empty(poly.shape)
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite cell goes to the solve
+                ham[far] = _weighted_sum((m * m / poly[far]).T, vinv_cols)
+            far[far] = np.isfinite(ham[far]).all(axis=-1)
+            ok = far.copy()
+            ham[~far], _, ok[~far] = _tensor_duality([t[~far] for t in tensor], p)
+            ok &= ~_polynomial_vanishes(poly)
+            weights = ham[ok].T
+            pref = hbar_prefactors(*weights, f)
+            lam, by_eig = eigenvalue_split(weights, p)
+            by_pref = np.all(pref > 0.0, axis=-1)
+            # basic slices are views, so each masked write lands in the shared columns
+            floats[:, cells], flags[:, cells] = np.nan, 0
+            floats[0, cells][ok] = lam
+            floats[1:, cells].T[ok] = pref
+            flags[0, cells][ok] = np.where(by_pref, 1, 2)
+            flags[1, cells][ok] = by_pref != by_eig
 
-    starts = range(0, c_x.size, _SCAN_BLOCK)
-    with ThreadPoolExecutor(usable_cpus(len(starts))) as pool:
-        for _ in pool.map(fill_block, starts):
-            pass  # a failed block re-raises here, and map cancels the blocks not yet started
-    return RegionScanResult(grid, c_x, c_y, verdict, min_eigenvalue, prefactors, methods_disagree)
+    blocks = -(-count // _SCAN_BLOCK)
+    parts = usable_cpus(blocks)
+    cuts = [_SCAN_BLOCK * (blocks * i // parts) for i in range(parts + 1)]
+    run_parts(parts, fill_part)
+    verdict = np.array(["singular", "positive", "not_positive"])[flags[0]]
+    return RegionScanResult(grid, c_x, c_y, verdict, floats[0], floats[1:].T, flags[1].view(bool))

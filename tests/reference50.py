@@ -39,6 +39,19 @@ def _antisymmetric(entries: dict, scale) -> mp.matrix:
     return a
 
 
+def hamiltonian_entries(al, be, ga) -> tuple:
+    """The upper-triangle entries {(i, j): value} of H1..H3, for any number type or symbol."""
+    return (
+        {(0, 0): ga, (1, 1): be, (2, 2): -al, (3, 3): 1, (1, 3): al, (2, 4): -1, (1, 5): 1},
+        {(0, 0): ga * be, (1, 1): be * be - ga * al, (2, 2): ga, (3, 3): al * al, (5, 5): 1,
+         (0, 2): ga * al, (0, 4): ga, (1, 3): al * be - ga, (1, 5): be, (3, 5): al},
+        {(0, 0): ga * be * be - ga * ga * al, (1, 1): be ** 3 + ga * ga - 2 * al * be * ga,
+         (2, 2): ga * al * al, (3, 3): be * al * al - 2 * ga * al, (4, 4): ga, (5, 5): be,
+         (0, 2): ga * al * be - ga * ga, (0, 4): ga * be, (1, 3): al * be * be - ga * (al * al + be),
+         (1, 5): be * be - ga * al, (2, 4): ga * al, (3, 5): al * be - ga},
+    )
+
+
 class Reference50:
     """The model (alpha, beta, gamma) at 50 digits."""
 
@@ -48,19 +61,7 @@ class Reference50:
         for i in range(5):
             self.F[i, i + 1] = 1
         self.F[5, 0], self.F[5, 2], self.F[5, 4] = -ga, -be, -al
-        self.H = (
-            _symmetric({(0, 0): ga, (1, 1): be, (2, 2): -al, (3, 3): 1, (1, 3): al, (2, 4): -1,
-                        (1, 5): 1}),
-            _symmetric({(0, 0): ga * be, (1, 1): be * be - ga * al, (2, 2): ga, (3, 3): al * al,
-                        (5, 5): 1, (0, 2): ga * al, (0, 4): ga, (1, 3): al * be - ga, (1, 5): be,
-                        (3, 5): al}),
-            _symmetric({(0, 0): ga * be * be - ga * ga * al,
-                        (1, 1): be ** 3 + ga * ga - 2 * al * be * ga, (2, 2): ga * al * al,
-                        (3, 3): be * al * al - 2 * ga * al, (4, 4): ga, (5, 5): be,
-                        (0, 2): ga * al * be - ga * ga, (0, 4): ga * be,
-                        (1, 3): al * be * be - ga * (al * al + be), (1, 5): be * be - ga * al,
-                        (2, 4): ga * al, (3, 5): al * be - ga}),
-        )
+        self.H = tuple(_symmetric(h) for h in hamiltonian_entries(al, be, ga))
         ab = al * al - be
         d1 = al ** 3 - 2 * al * be + ga
         d2 = al ** 4 - 3 * al * al * be + 2 * al * ga + be * be

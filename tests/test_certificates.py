@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import pu6
+from pu6.core import Degeneracy, FrequencyTriple
 from pu6.hierarchy import _duality_matrices
 
 sp = pytest.importorskip("sympy")
+from reference50 import hamiltonian_entries  # noqa: E402  mpmath comes with sympy
 
 
 def test_closed_form_weights_solve_the_duality_table():
@@ -38,6 +40,36 @@ def test_closed_form_weights_solve_the_duality_table():
         assert all(sp.cancel(x) == 0 for x in (t - np.outer(k, (mj * mj, mj, 1))).ravel()), j
         total = total + mj * mj * k
     assert [sp.cancel(x) for x in total] == [1, 0, 0]
+
+
+def test_hbar_parity_blocks_are_congruences_of_the_prefactors():
+    """Hbar's odd block is 2 U diag(d) U^T and its even block 2 U diag(d r) U^T, exactly.
+
+    Over symbolic squared frequencies a > b > c and weights c4, c5, c6:
+    Hbar = c4 H1 + c5 H2 + c6 H3 on the entries of ``hamiltonian_entries``
+    (checked against ``core``'s float matrices in test_reference50.py), U
+    the 3x3 matrix whose column for each pair is (m, s, 1), d the
+    ``hbar_prefactors`` and r each pair's remaining square, all read from
+    the pair table ``FrequencyTriple.pairs``.  The odd slots are (1, 3, 5)
+    and the even ones (0, 2, 4), so by Sylvester's law of inertia Hbar is
+    positive-definite exactly when every prefactor is.
+    """
+    a, b, c = sp.symbols("a b c", positive=True)
+    ham = sp.symbols("c4 c5 c6")
+    f = FrequencyTriple((sp.sqrt(a), sp.sqrt(b), sp.sqrt(c)), Degeneracy.NON_DEGENERATE)
+    m, s, r, _ = f.pairs
+    d = [sp.nsimplify(x, rational=True) for x in pu6.hbar_prefactors(*ham, f)]  # den's 2.0 is 2
+    U = sp.Matrix([list(m), list(s), [1, 1, 1]])
+    hbar = sp.zeros(6, 6)
+    for w, entries in zip(ham, hamiltonian_entries(a + b + c, a * b + a * c + b * c, a * b * c)):
+        h = sp.zeros(6, 6)
+        for (i, j), v in entries.items():
+            h[i, j] = h[j, i] = v
+        hbar += w * h
+    for slots, weights in (((1, 3, 5), d), ((0, 2, 4), [x * y for x, y in zip(d, r)])):
+        block = hbar.extract(list(slots), list(slots))
+        gap = block - 2 * U * sp.diag(*weights) * U.T
+        assert all(sp.cancel(x) == 0 for x in gap), slots
 
 
 def test_ta1_radicand_is_the_fully_coupled_family_polynomial():

@@ -413,6 +413,29 @@ def test_scan_non_finite_grid(tmp_path, old, new):
     assert not out.exists()
 
 
+def _overcommits_always() -> bool:
+    """Linux set to grant any allocation: there a huge grid would not fail at once."""
+    try:
+        with open("/proc/sys/vm/overcommit_memory") as fh:
+            return fh.read().strip() == "1"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(_overcommits_always(), reason="allocations are granted, not refused")
+@pytest.mark.parametrize("n1, n2", [(10 ** 12, 1), (10 ** 6, 10 ** 6)])
+def test_scan_grid_too_large_for_memory_exits_2(tmp_path, capsys, n1, n2):
+    """A 10^12-cell grid is a config error that names its size, not a traceback.
+
+    Its first column (8 TB) is refused at once, before anything is written.
+    """
+    out = tmp_path / "region.csv"
+    cfg = _write(tmp_path, "c.json", _scan_cfg(n1, n2))
+    assert cli.main(["--config", cfg, "--out", str(out), "scan"]) == 2 and not out.exists()
+    assert capsys.readouterr().err == (
+        "config error: a scan grid of 1000000000000 cells does not fit in memory\n")
+
+
 @pytest.mark.parametrize("omegas", [[2, 2, 1], [200, 200, 100], [2, 1, 1], [1, 1, 1]])
 def test_scan_degenerate_frequencies_exit_2(tmp_path, capsys, omegas):
     """A scan needs distinct frequencies: a degenerate model is a config error, not exit 1.

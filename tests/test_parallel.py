@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import pu6
 from pu6 import parallel
-from test_positivity import _force_cpus
+from test_positivity import _counting_forks, _force_cpus, _no_child_left
 
 MIN = parallel.MIN_PART_LINES
 _SETTINGS = settings(max_examples=25, deadline=None,
@@ -20,19 +20,6 @@ _SETTINGS = settings(max_examples=25, deadline=None,
 def _row_counts(unit: int):
     """Row counts just below, at and just above 1, 2 and 3 parts of ``unit`` rows."""
     return st.builds(lambda k, d: max(k * unit + d, 1), st.integers(1, 3), st.integers(-1, 1))
-
-
-def _counting_forks(monkeypatch) -> list:
-    """Record the rows [lo, hi) of every forked part."""
-    forked = []
-    fork_part = parallel._fork_part
-
-    def counted(tmp, text, lo, hi, step):
-        forked.append((lo, hi))
-        return fork_part(tmp, text, lo, hi, step)
-
-    monkeypatch.setattr(parallel, "_fork_part", counted)
-    return forked
 
 
 def _trajectory(rows: int, seed: int):
@@ -127,33 +114,34 @@ def test_split_writer_on_stdout(monkeypatch, capfd, cpus, rows, seed):
     assert capfd.readouterr().out == reference.getvalue()
 
 
-def _no_child_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
 class _PartFailure(Exception):
     pass
 
 
-@pytest.mark.parametrize("failing", ["child", "parent"])
+@pytest.mark.parametrize("failing", ["child", "parent", "both"])
 def test_a_failing_part_leaves_no_child(monkeypatch, failing):
-    """A child that raises is an OSError, a parent that raises keeps its exception; no child stays."""
+    """A part that fails only in its child is run again here and gives the bytes of a clean run.
+
+    A part that fails here too, and a part 0 that fails here, raise their
+    own exception.  No child stays.
+    """
     assert _no_child_left()
     parent = os.getpid()
     _force_cpus(monkeypatch, 3)
 
     def text(lo, hi):
-        if (os.getpid() == parent) == (failing == "parent"):
+        here = os.getpid() == parent
+        if {"child": not here, "parent": here, "both": lo >= 2 * MIN}[failing]:
             raise _PartFailure(f"rows {lo}..{hi}")
         return "%d\n" % lo
 
-    expected = OSError if failing == "child" else _PartFailure
-    with pytest.raises(expected):
-        parallel.write_rows(io.StringIO(), 3 * MIN, text)
+    out = io.StringIO()
+    if failing == "child":
+        parallel.write_rows(out, 3 * MIN, text)
+        assert out.getvalue() == "".join("%d\n" % lo for lo in range(3 * MIN))
+    else:
+        with pytest.raises(_PartFailure):
+            parallel.write_rows(out, 3 * MIN, text)
     assert _no_child_left()
 
 

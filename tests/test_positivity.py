@@ -1,8 +1,6 @@
 import csv
 import io
 import os
-import sys
-import threading
 import warnings
 
 import numpy as np
@@ -298,10 +296,10 @@ def test_scan_and_verdicts_share_one_eigenvalue_oracle(std_freqs, std_params, mo
     The grid holds positive, non-positive and four singular cells, where a
     tensor-weight polynomial vanishes exactly (P_13 at (-15, 54), (-20, 99)
     and (-25, 144), P_23 at (-25, 84)).  With 7-cell blocks, which straddle
-    the 8-cell rows, the scan makes one call per block, over that block's
-    non-singular cells, with the verdicts and disagreements of the per-cell
-    routes, which call it once per cell.  Blocks run on a thread pool and
-    finish in any order, so the block calls are compared as sorted shapes.
+    the 8-cell rows, the scan makes one call per block, in order, over that
+    block's non-singular cells, with the verdicts and disagreements of the
+    per-cell routes, which call it once per cell.  One usable CPU keeps every
+    block in this process, where the calls are counted.
     """
     calls = []
     split = pu6.positivity.eigenvalue_split
@@ -310,13 +308,14 @@ def test_scan_and_verdicts_share_one_eigenvalue_oracle(std_freqs, std_params, mo
         calls.append(np.shape(weights))
         return split(weights, p)
 
+    _force_cpus(monkeypatch, 1)
     monkeypatch.setattr(pu6.positivity, "eigenvalue_split", counted)
     monkeypatch.setattr(pu6.positivity, "_SCAN_BLOCK", 7)
     grid = _grid(("c2", -30, -5), ("c3", 54, 159), "c1", 1.0, 6, 8)
     res = pu6.region_scan(grid, std_freqs)
     live = res.verdict != "singular"
     assert np.count_nonzero(~live) == 4 and 0 < res.positive_count() < live.sum()
-    assert sorted(calls) == sorted((3, live[i:i + 7].sum()) for i in range(0, live.size, 7))
+    assert calls == [(3, live[i:i + 7].sum()) for i in range(0, live.size, 7)]
     calls.clear()
     ref, _ = _reference_scan(grid, std_freqs)
     assert calls == [(3,)] * live.sum()
@@ -336,38 +335,52 @@ def _force_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "cpu_count", lambda: n)
 
 
-def test_scan_csv_does_not_depend_on_pool_size(std_freqs, monkeypatch):
-    """The README grid gives the same CSV bytes on one scan thread and on four.
+def _counting_forks(monkeypatch) -> list:
+    """Record the pid of the process that makes each fork."""
+    forked = []
+    fork = os.fork
 
-    Every block runs on a pool thread, never on the caller's, and the pool's
-    threads are gone when ``region_scan`` returns.  A short switch interval
-    makes the threads interleave often, so a block writing outside its own
-    slices would show in the bytes.
-    """
-    baseline = threading.active_count()
-    duality = pu6.positivity._tensor_duality
-    texts = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
+    def counted():
+        forked.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forked
+
+
+def _no_child_left() -> bool:
     try:
-        for n in (1, 4):
-            _force_cpus(monkeypatch, n)
-            assert pu6.parallel.usable_cpus(40) == n  # 40 blocks of 1024 cells
-            assert pu6.parallel.usable_cpus(3) == min(n, 3)
-            threads = set()
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
-            def tracked(tensor, p):
-                threads.add(threading.get_ident())
-                return duality(tensor, p)
 
-            monkeypatch.setattr(pu6.positivity, "_tensor_duality", tracked)
-            buf = io.StringIO()
-            pu6.region_scan(README_GRID, std_freqs).write_csv(buf)
-            texts.append(buf.getvalue())
-            assert 1 <= len(threads) <= n and threading.get_ident() not in threads
-            assert threading.active_count() == baseline
-    finally:
-        sys.setswitchinterval(interval)
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_scan_csv_does_not_depend_on_pool_size(std_freqs, monkeypatch, cpus):
+    """The README grid gives the same CSV bytes on 2 and 4 usable CPUs as on one.
+
+    Its 40 blocks of 1024 cells run as one contiguous part per CPU: this
+    process runs the first and forked children the others, so a part that
+    wrote outside its own slices of the shared columns would show in the
+    bytes.  A large product first starts BLAS's threads, if it has any, and
+    no child is left when the scan returns.
+    """
+    assert _no_child_left()
+    a = np.ones((400, 400))
+    a @ a
+    texts = []
+    for n in (1, cpus):
+        _force_cpus(monkeypatch, n)
+        assert pu6.parallel.usable_cpus(40) == n and pu6.parallel.usable_cpus(3) == min(n, 3)
+        with monkeypatch.context() as m:
+            forked = _counting_forks(m)
+            res = pu6.region_scan(README_GRID, std_freqs)
+        assert forked == [os.getpid()] * (n - 1) and _no_child_left()
+        _force_cpus(monkeypatch, 1)
+        buf = io.StringIO()
+        res.write_csv(buf)
+        texts.append(buf.getvalue())
     assert texts[0] == texts[1]
     assert texts[0].count("\n") == 1 + README_GRID.axis1.n * README_GRID.axis2.n
 
@@ -378,30 +391,31 @@ class _RowFailure(Exception):
 
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_scan_row_exception_propagates(std_freqs, monkeypatch, cpus):
-    """An exception raised in the block holding row 7 leaves ``region_scan`` with its own type.
+    """An exception raised in the block holding row 150 leaves ``region_scan`` with its own type.
 
-    Row 7 is cells 1400..1599, all in the second of the 40 blocks.  The
-    blocks not yet started when it is raised are cancelled, not run, and no
-    thread is left.
+    Row 150 is cells 30000..30199, in block 29 of 40.  On four CPUs that
+    block lies in part 2, which a forked child runs: the child fails, and
+    this process runs part 2 again and raises there.  No child is left.
     """
-    baseline = threading.active_count()
+    assert _no_child_left()
     _force_cpus(monkeypatch, cpus)
-    duality = pu6.positivity._tensor_duality
-    row7 = np.linspace(README_GRID.axis1.lo, README_GRID.axis1.hi, README_GRID.axis1.n)[7]
-    started = []
+    polynomials = pu6.positivity.tensor_weight_polynomials
+    row150 = np.linspace(README_GRID.axis1.lo, README_GRID.axis1.hi, README_GRID.axis1.n)[150]
+    seen = []
 
-    def failing(tensor, p):
-        started.append(tensor[1])  # axis1 is c2
-        if row7 in tensor[1]:
-            raise _RowFailure("row 7")
-        return duality(tensor, p)
+    def failing(c1, c2, c3, f):  # axis1 is c2
+        seen.append(os.getpid())
+        if row150 in c2:
+            raise _RowFailure("row 150")
+        return polynomials(c1, c2, c3, f)
 
-    monkeypatch.setattr(pu6.positivity, "_tensor_duality", failing)
-    with pytest.raises(_RowFailure, match="row 7"):
+    monkeypatch.setattr(pu6.positivity, "tensor_weight_polynomials", failing)
+    forked = _counting_forks(monkeypatch)
+    with pytest.raises(_RowFailure, match="row 150"):
         pu6.region_scan(README_GRID, std_freqs)
-    assert threading.active_count() == baseline
-    blocks = -(-README_GRID.axis1.n * README_GRID.axis2.n // pu6.positivity._SCAN_BLOCK)
-    assert blocks == 40 and sum(row7 in c2 for c2 in started) == 1 and len(started) < blocks
+    assert len(forked) == cpus - 1 and _no_child_left()
+    # this process ran part 0 (10 blocks) and part 2 again up to block 29, or all 30 blocks
+    assert len(seen) == (20 if cpus == 4 else 30)
 
 
 def test_scan_threshold_cell_agrees_with_per_cell_solve():
@@ -490,7 +504,7 @@ def test_scan_csv_does_not_depend_on_block_size(std_freqs, monkeypatch, grid, si
     cell more than the grid give the same bytes on a square grid, a single
     column, a single row and a grid with singular cells.  One-cell blocks run
     on the three smaller grids only: the same code path, where the README
-    grid would be 40 000 pool tasks.
+    grid would be 40 000 blocks.
     """
     def csv_text():
         buf = io.StringIO()
