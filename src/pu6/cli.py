@@ -69,7 +69,7 @@ class RunConfig:
     params: PUParams
     omegas: Optional[tuple[float, float, float]]
     seed: int
-    tol: Optional[float]  # overrides the degeneracy-classification tolerance
+    tol: Optional[float]  # relative degeneracy tolerance; None: the rounding floor alone
     sections: dict
 
     def section(self, name: str) -> dict:
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument("--seed", type=int, default=default, help="seed for random draws")
         parser.add_argument(
             "--tol", type=float, default=default,
-            help="relative degeneracy tolerance override",
+            help="relative degeneracy tolerance (unset: the rounding floor alone)",
         )
 
     ap = argparse.ArgumentParser(

@@ -32,11 +32,6 @@ Q, QD, QDD, Q3T, Q4T, Q5T = range(6)
 # the columns of FrequencyTriple.pairs and every per-pair result follow this order
 PAIRS = ((1, 2), (1, 3), (2, 3))
 
-# relative gap of squared frequencies under which a pair is degenerate; ``_classified``'s
-# rounding floor already spans at least about 2.4e-7 for a pair (4.8e-5 for the triple),
-# so a tol below that, this default included, changes no class
-DEGENERACY_TOL = 1e-9
-
 _EPS = float(np.finfo(float).eps)
 
 
@@ -211,20 +206,19 @@ def _classified(roots, p: PUParams, tol: Optional[float]) -> FrequencyTriple:
 
     Sorted by real part, a cluster (the triple, then each adjacent pair) is
     degenerate when its largest gap g (a complex modulus, so a double root
-    split into a conjugate pair counts) is within ``tol`` (default
-    ``DEGENERACY_TOL``) of its mean m, or within the split that rounding
+    split into a conjugate pair counts) is within the split that rounding
     the cubic by 64 eps S(m) causes (Wilkinson), S(x) the product of
     |x| + |root|: g^3 <= 64 eps S(m) for the triple, g^2 |m - b| <= 64 eps S(m)
-    for a pair with third root b.  A cluster of unequal roots becomes the
-    multiple root, a root of a derivative of the cubic: alpha/3, or for a
-    pair the critical point d on its side, the third root then alpha - 2 d.
+    for a pair with third root b, or, when ``tol`` is given, within ``tol``
+    of its mean m.  A cluster of unequal roots becomes the multiple root, a
+    root of a derivative of the cubic: alpha/3, or for a pair the critical
+    point d on its side, the third root then alpha - 2 d.
     Unclustered roots must be real, and every root positive.  The floor alone
     spans a relative gap of at least (256 eps)^(1/2) ~ 2.4e-7 for a pair and
-    2 (64 eps)^(1/3) ~ 4.8e-5 for the triple, so a ``tol`` below it, the
-    default included, changes no class: omegas (3, 2 + 1e-7, 2) are
-    PARTIALLY_DEGENERATE at tol 0, 1e-12 and 1e-9 alike.
+    2 (64 eps)^(1/3) ~ 4.8e-5 for the triple, so a ``tol`` below it changes
+    no class: omegas (3, 2 + 1e-7, 2) are PARTIALLY_DEGENERATE at tol 0,
+    1e-12 and 1e-9 alike, and without one.
     """
-    tol = DEGENERACY_TOL if tol is None else tol
     lam = sorted(map(complex, np.ravel(roots)), key=lambda z: -z.real)
     scale = max(map(abs, lam)) or 1.0
     x = [z / scale for z in lam]  # the tests are scale-free; this keeps them finite
@@ -233,7 +227,7 @@ def _classified(roots, p: PUParams, tol: Optional[float]) -> FrequencyTriple:
         gap = max(abs(x[j] - x[k]) for j in cluster for k in cluster if j < k)
         rest = math.prod(abs(m - x[k]) for k in range(3) if k not in cluster)
         if gap ** len(cluster) * rest <= 64.0 * _EPS * math.prod(abs(m) + abs(z) for z in x) \
-                or gap <= tol * abs(m):
+                or tol is not None and gap <= tol * abs(m):
             break
     else:
         cluster, deg = (), Degeneracy.NON_DEGENERATE

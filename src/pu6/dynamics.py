@@ -390,14 +390,10 @@ def _require_finite(what: str, times: np.ndarray, values: np.ndarray) -> None:
         raise NonFinite(f"{what} overflowed at t={times[np.argmax(bad)]:.6g}")
 
 
-def value_drift(values) -> np.ndarray:
-    """Per sequence H(s(t)), max_t |H(s(t)) - H(s(0))| / max(|H(s(0))|, floor)."""
-    return np.array([float(np.abs(v - v[0]).max() / max(abs(v[0]), 1e-300)) for v in values])
-
-
 def conservation_drift(traj: Trajectory, forms: Sequence[QuadraticForm]) -> np.ndarray:
     """Per form, max_t |H(s(t)) - H(s(0))| / max(|H(s(0))|, floor)."""
-    return value_drift(_form_values(traj.states, [h.matrix for h in forms]))
+    values = _form_values(traj.states, [h.matrix for h in forms])
+    return np.array([float(np.abs(v - v[0]).max() / max(abs(v[0]), 1e-300)) for v in values])
 
 
 _CSV_ROW = ",".join(["%.17g"] * 10) + "\n"
@@ -405,13 +401,13 @@ _CSV_BLOCK = 1024  # rows per write
 
 
 def trajectory_hamiltonians(traj: Trajectory, p: PUParams) -> tuple[list, np.ndarray]:
-    """H1..H3 along ``traj`` and their ``value_drift``, bit for bit (x / scale is monotone).
+    """H1..H3 along ``traj`` and their ``conservation_drift``, bit for bit (x / scale is monotone).
 
     NonFinite at the first time where an H, or its drift, is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         hvals = _form_values(traj.states, _model_matrices(p)[1])
-        drift = [(h - h[0]) / max(abs(h[0]), 1e-300) for h in hvals]  # value_drift's, per time
+        drift = [(h - h[0]) / max(abs(h[0]), 1e-300) for h in hvals]  # conservation_drift's, per time
     _require_finite("H", traj.times, np.column_stack(hvals))
     _require_finite("H drift", traj.times, np.column_stack(drift))
     return hvals, np.array([np.abs(d).max() for d in drift])

@@ -228,27 +228,20 @@ def combined_form(c: CombinationCoeffs, p: PUParams) -> QuadraticForm:
     return QuadraticForm(_weighted_sum(c.hamiltonian_weights, _model_matrices(p)[1]))
 
 
-def _combined_flows(tensor: np.ndarray, ham: np.ndarray, p: PUParams) -> np.ndarray:
-    """``combined_flow`` for weights (n, 3) or one (3,) each."""
+def combined_flow(c: CombinationCoeffs, p: PUParams) -> np.ndarray:
+    """Jbar Abar, the combined flow; a ``c`` of equal-length arrays gives one flow per row."""
     p.require_gamma()
     js, hs, _ = _model_matrices(p)
-    return _weighted_sum(tensor.T, js) @ _weighted_sum(ham.T, hs)
-
-
-def _expansion_weights(tensor: np.ndarray, ham: np.ndarray, p: PUParams) -> np.ndarray:
-    """``flow_expansion_coefficients`` for weights (n, 3) or one (3,) each."""
-    return (_duality_matrices(ham, p) @ tensor[..., None])[..., 0]
-
-
-def combined_flow(c: CombinationCoeffs, p: PUParams) -> np.ndarray:
-    """Jbar Abar: the flow generated by the combined tensor and Hamiltonian."""
-    return _combined_flows(np.array(c.poisson_weights), np.array(c.hamiltonian_weights), p)
+    return _weighted_sum(c.poisson_weights, js) @ _weighted_sum(c.hamiltonian_weights, hs)
 
 
 def flow_expansion_coefficients(c: CombinationCoeffs, p: PUParams) -> np.ndarray:
     """Weights (e1,e2,e3) with Jbar grad(Hbar) = e1 X1 + e2 X2 + e3 X3.
 
     The combined flow reproduces the original one exactly when
-    (e1, e2, e3) = (1, 0, 0).
+    (e1, e2, e3) = (1, 0, 0).  A ``c`` whose six fields are equal-length
+    arrays gives stacked weights, with a trailing axis of 3.
     """
-    return _expansion_weights(np.array(c.poisson_weights), np.array(c.hamiltonian_weights), p)
+    ham = np.stack(c.hamiltonian_weights, axis=-1)
+    tensor = np.stack(c.poisson_weights, axis=-1)
+    return (_duality_matrices(ham, p) @ tensor[..., None])[..., 0]

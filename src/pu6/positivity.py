@@ -16,7 +16,6 @@ the one pair table ``FrequencyTriple.pairs``, in ``PAIRS`` order.
 """
 from __future__ import annotations
 
-import functools
 import math
 import mmap
 from dataclasses import dataclass
@@ -141,12 +140,6 @@ def _polynomial_vanishes(poly: np.ndarray):
     return a.min(axis=-1) < 1e-14 * np.maximum(1e-300, a.max(axis=-1))
 
 
-@functools.lru_cache(maxsize=8)
-def _parity_blocks(p: PUParams) -> list:
-    """The (2, 3, 3) parity blocks of each of H1..H3, taken once per model."""
-    return [h.take(_BLOCKS) for h in _model_matrices(p)[1]]
-
-
 def eigenvalue_split(weights, p: PUParams):
     """(lambda_min, lambda_min > 1e-10 max|eigenvalue|) of Hbar = c4 H1 + c5 H2 + c6 H3.
 
@@ -154,11 +147,12 @@ def eigenvalue_split(weights, p: PUParams):
     Time reversal T = diag(1, -1, 1, -1, 1, -1) fixes every H_k exactly (no
     builder writes an entry with i + j odd), so Hbar is block-diagonal over
     the even slots (0, 2, 4) and the odd slots (1, 3, 5): its spectrum is
-    the union of the two 3x3 blocks'.  ``_weighted_sum`` sums the blocks of
-    H1..H3 (``_parity_blocks``), so they hold the bits of the 6x6 sum's
+    the union of the two 3x3 blocks'.  ``_weighted_sum`` sums the blocks
+    taken from H1..H3 on each call, so they hold the bits of the 6x6 sum's
     entries; one ``eigvalsh`` judges the (..., 2, 3, 3) stack.
     """
-    vals = np.linalg.eigvalsh(_weighted_sum(weights, _parity_blocks(p)))
+    blocks = [h.take(_BLOCKS) for h in _model_matrices(p)[1]]
+    vals = np.linalg.eigvalsh(_weighted_sum(weights, blocks))
     lam = vals.min(axis=(-2, -1))
     return lam, lam > _EIG_REL_TOL * np.abs(vals).max(axis=(-2, -1))
 
@@ -311,19 +305,19 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
     scan-grid seeds 101-120, those in [0.03, 0.1) sit within 0.157x that
     bound and 0.017x the prefactor bound; [0.01, 0.03) reaches 0.558x and
     [0.001, 0.01) 3.3x.  The cut leaves 5-10 % of those grids' cells, and a
-    third of the README grid's, on the least squares.
+    third of the README grid's, on the least squares.  It stays there because
+    that reference shares its rounding: near the band both miss the 50-digit
+    lambda_min by up to 10x the bound, the closed form by 0.094x at most.
 
     The blocks are split into contiguous parts, one per usable CPU, run side
     by side by ``parallel.run_parts``; the columns live in one anonymous
     shared mapping, the verdict as uint8 codes.  Most of a block is short
-    numpy calls that hold the GIL, so a thread pool shared it badly: on a
-    2-CPU host scan-grid seed 1 took 96-120 ms on two threads at a 0.1 cut
-    and 68-92 ms in two parts at 0.03 (least of 7 calls, 3 rounds).  Blocks
-    bound the temporaries (scan-grid's peak RSS: 126.1 MB at 1024 cells,
-    131.4 MB at 4096).  Stacked LAPACK calls treat each matrix on its own
-    and the closed form is elementwise, so every cell's bits, and the CSV,
-    depend on neither the block size nor the part count.  An exception in a
-    block propagates with its own type.
+    numpy calls that hold the GIL, so threads would share one CPU; forked
+    parts do not.  Blocks bound the temporaries (scan-grid's peak RSS:
+    126.1 MB at 1024 cells, 131.4 MB at 4096).  Stacked LAPACK calls treat
+    each matrix on its own and the closed form is elementwise, so every
+    cell's bits, and the CSV, depend on neither the block size nor the part
+    count.  An exception in a block propagates with its own type.
     """
     from .parallel import run_parts, usable_cpus
 

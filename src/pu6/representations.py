@@ -50,17 +50,8 @@ from .errors import (
 from .hierarchy import _span_weights
 from .positivity import PositivityVerdict, eigenvalue_verdict, hbar_prefactors
 
-KINDS = ("Ta1", "Ta2", "Tb1", "Tc1")
-
 # Hamiltonian weights in canonical units: c_hat_k = rho^(4k+2) c_k
 _WEIGHT_EXPONENTS = np.array([6.0, 10.0, 14.0])
-
-_PATTERNS = {
-    "Ta1": ("PU", "PU", "PU"),
-    "Ta2": ("PU", "PU", "PU"),
-    "Tb1": ("PU", "PU", "trivial"),
-    "Tc1": ("PU", "trivial", "trivial"),
-}
 
 
 @dataclass(frozen=True)
@@ -306,7 +297,14 @@ def _build_tc1(p: PUParams, choices: dict, tol: Optional[float]) -> Representati
     )
 
 
-_BUILDERS = {"Ta1": _build_ta1, "Ta2": _build_ta2, "Tb1": _build_tb1, "Tc1": _build_tc1}
+# family -> (builder, declared pattern of its three equations)
+_FAMILIES = {
+    "Ta1": (_build_ta1, ("PU", "PU", "PU")),
+    "Ta2": (_build_ta2, ("PU", "PU", "PU")),
+    "Tb1": (_build_tb1, ("PU", "PU", "trivial")),
+    "Tc1": (_build_tc1, ("PU", "trivial", "trivial")),
+}
+KINDS = tuple(_FAMILIES)
 
 # free choice -> (number kind, list shape); each family reads the choices it uses
 _CHOICES = {
@@ -323,7 +321,7 @@ def build_representation(
     """Construct one of the named families at the given model parameters.
 
     The free choices are converted here, so a malformed one is a ConfigError.
-    ``tol`` (default ``DEGENERACY_TOL``) classifies the frequencies Ta2 needs distinct.
+    ``tol`` (unset: the rounding floor alone) classifies the frequencies Ta2 needs distinct.
     """
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -335,7 +333,7 @@ def build_representation(
     for k in ("branch", "tau2_branch", "g3_branch"):
         if choices.get(k, 1) not in (-1, 1):
             raise ConfigError(f"free_choices.{k} must be +1 or -1, got {choices[k]}")
-    return _BUILDERS[kind](p, choices, tol)
+    return _FAMILIES[kind][0](p, choices, tol)
 
 
 def project_state(r: Representation, p: PUParams, s) -> tuple[np.ndarray, np.ndarray]:
@@ -403,7 +401,7 @@ def equivalence_check(r: Representation, p: PUParams, trajectory=None) -> Equiva
             resids.append(mismatch)
         else:
             raise EquivalenceFailure(i, mismatch)
-    expected = _PATTERNS[r.kind]
+    expected = _FAMILIES[r.kind][1]
     if tuple(pattern) != expected:
         worst = int(np.argmax([0 if a == b else 1 for a, b in zip(pattern, expected)]))
         raise EquivalenceFailure(

@@ -177,8 +177,9 @@ def run_invariant_suite(
         tensor, regular, _ = hierarchy._dual_weights(ham, p)
         if not regular.all():
             return float("nan"), 1e-8, f"{np.count_nonzero(~regular)} of {n_random} draws rejected"
-        flows = hierarchy._combined_flows(tensor, ham, p)
-        e = hierarchy._expansion_weights(tensor, ham, p) - (1.0, 0.0, 0.0)
+        c = hierarchy.CombinationCoeffs(*tensor.T, *ham.T)
+        flows = hierarchy.combined_flow(c, p)
+        e = hierarchy.flow_expansion_coefficients(c, p) - (1.0, 0.0, 0.0)
         return max(_rel(flows - F, F), np.abs(e).max(initial=0.0)), 1e-8, f"{n_random} random draws"
 
     def ostrogradsky_consistency():

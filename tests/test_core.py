@@ -101,6 +101,38 @@ def test_close_pair_keeps_class_and_round_trips(w, log_gap, ratio, upper, log_la
             assert abs(a - b) <= 1e-12 * abs(b)
 
 
+def _classes(classify, *args):
+    """(degeneracy, omegas) of ``classify(*args)`` without and with tol 1e-9, or the refusal."""
+    out = []
+    for kw in ({}, {"tol": 1e-9}):
+        try:
+            f = classify(*args, **kw)
+            out.append((f.degeneracy, f.omegas))
+        except pu6.ComplexFrequencies:
+            out.append("ComplexFrequencies")
+    return out
+
+
+def test_tol_below_the_rounding_floor_changes_no_class():
+    # g <= 1e-9 m puts g^2 |m - b| (pair) or g^3 (triple) below 64 eps S(m), so an unset
+    # tol and tol 1e-9 give the same class: near-degenerate pairs and triples, relative
+    # square gaps 1e-16..1e-4 of both signs, at frequency scales 1e-2..1e2
+    rng = np.random.default_rng(29)
+    seen = set()
+    for n in range(1200):
+        w, lam = rng.uniform(0.5, 2.0), 10.0 ** rng.uniform(-2.0, 2.0)
+        gaps = rng.choice([-1.0, 1.0], size=2) * 10.0 ** rng.uniform(-16.0, -4.0, size=2)
+        sq = [w * w, w * w * (1.0 + gaps[0])]
+        sq.append(w * w * (1.0 + gaps[1]) if n % 2 else w * w * rng.choice([1 / 3.0, 3.0]))
+        s1, s2, s3 = (lam * lam * v for v in sq)
+        a = _classes(pu6.frequency_triple, *np.sqrt([s1, s2, s3]))
+        p = pu6.PUParams(s1 + s2 + s3, s1 * s2 + s1 * s3 + s2 * s3, s1 * s2 * s3)
+        b = _classes(pu6.frequencies_from_params, p)
+        assert a[0] == a[1] and b[0] == b[1]
+        seen.update(r if isinstance(r, str) else r[0] for r in a + b)
+    assert seen == {*pu6.Degeneracy, "ComplexFrequencies"}
+
+
 def test_pair_table():
     # squares (9, 4, 1); columns (1,2), (1,3), (2,3)
     m, s, r, den = pu6.frequency_triple(3, 2, 1).pairs

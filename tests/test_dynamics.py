@@ -500,5 +500,6 @@ def test_trajectory_csv_matches_per_cell_reference(std_params, std_freqs, method
     hvals, drift = pu6.dynamics.trajectory_hamiltonians(traj, std_params)
     pu6.trajectory_csv(traj, hvals, out)
     assert out.getvalue() == _per_cell_trajectory_csv(traj, std_params)
-    # the drift summary is value_drift's, bit for bit
-    np.testing.assert_array_equal(drift, pu6.dynamics.value_drift(hvals))
+    # the drift summary is conservation_drift's on H1..H3, bit for bit
+    forms = [pu6.hamiltonian_form(n, std_params) for n in (1, 2, 3)]
+    np.testing.assert_array_equal(drift, pu6.conservation_drift(traj, forms))

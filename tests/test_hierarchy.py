@@ -201,8 +201,9 @@ def test_stacked_duality_cores_match_scalar_routines(params, rng):
     assert regular[[3, 17]].tolist() == [params != (14.0, 49.0, 36.0)] * 2
     kept = [c for c in duals if c is not None]
     np.testing.assert_array_equal(tensor, [c.poisson_weights for c in kept])
-    flows = pu6.hierarchy._combined_flows(tensor, ham[regular], p)
-    e = pu6.hierarchy._expansion_weights(tensor, ham[regular], p)
+    stacked = pu6.CombinationCoeffs(*tensor.T, *ham[regular].T)
+    flows = pu6.combined_flow(stacked, p)
+    e = pu6.flow_expansion_coefficients(stacked, p)
     np.testing.assert_array_equal(flows, [pu6.combined_flow(c, p) for c in kept])
     np.testing.assert_array_equal(e, [pu6.flow_expansion_coefficients(c, p) for c in kept])
 

@@ -357,7 +357,7 @@ def _no_child_left() -> bool:
 
 
 @pytest.mark.parametrize("cpus", [2, 4])
-def test_scan_csv_does_not_depend_on_pool_size(std_freqs, monkeypatch, cpus):
+def test_scan_csv_does_not_depend_on_part_count(std_freqs, monkeypatch, cpus):
     """The README grid gives the same CSV bytes on 2 and 4 usable CPUs as on one.
 
     Its 40 blocks of 1024 cells run as one contiguous part per CPU: this
