@@ -2,11 +2,15 @@
 
 ``run_parts`` runs part 0 in the caller and the others in forked children:
 ``region_scan``'s fill their slices of a shared anonymous mapping, and
-``write_rows``' format CSV rows into temporary files.  That work holds the
-GIL, so pu6 runs it in processes and starts no thread.  No byte depends on
-the part or CPU count, since every part does the same arithmetic.  A part
-whose child fails is run again in the caller, which then raises that
-part's own exception or, where only the child failed, gets clean bytes.
+``write_rows``' format CSV rows into temporary files.  That work is short
+numpy calls that hold the GIL, so pu6 runs it in processes and starts no
+thread.  The rows are formatted by ``fmt17``: the bytes of ``'%.17g' %``
+from array operations, about 0.15 us per value, with ``%`` itself only for
+near-ties and values outside [1e-280, 1e280] (about 4e-5 of the benchmark's
+values).  No byte depends on the part or CPU count, since every part does
+the same arithmetic.  A part whose child fails is run again in the caller,
+which then raises that part's own exception or, where only the child
+failed, gets clean bytes.
 
 A child reads arrays built before the fork, writes only its own slices or
 file, and leaves by ``os._exit``, so it flushes no buffer it inherited.  It
@@ -20,11 +24,13 @@ import shutil
 import tempfile
 import warnings
 
-# Fewest output lines per part.  On a 2-CPU host a fork plus reap took
-# 1.6-3 ms (30-110 MB resident) and a CSV line 5-8 us (trajectory) or about
-# 4 us (scan); two parts broke even with one near 1-2k trajectory rows and
-# took 33.5 ms against 48.8 ms at 8k, so a 4096-line part keeps a margin.
-MIN_PART_LINES = 4096
+# Fewest output lines per part.  On a 2-CPU host, with ``fmt17`` writing a
+# CSV line in about 1.5 us (trajectory) or 1.05 us (scan), a second part cost
+# the caller 6-8 ms (fork, reap and copy); two parts broke even with one near
+# 10k trajectory lines and 20k scan lines, and won at 20k trajectory lines
+# (22.9 ms against 30.6 ms) and 40k scan lines (34.9 ms against 42.3 ms), so
+# an 8192-line part keeps a margin.
+MIN_PART_LINES = 8192
 
 
 def usable_cpus(limit: int) -> int:

@@ -42,6 +42,7 @@ _BLOCKS = DIM * _PARITY[:, :, None] + _PARITY[:, None, :]  # flat indices of the
 _SCAN_BLOCK = 1024  # grid cells per region_scan block
 _FAR_BAND = 0.03  # region_scan's closed-form weights need min|P_jk| >= _FAR_BAND * max|P_jk|
 _BLOCK_MACHINERY = "positive-block machinery"  # what the distinct-frequency rule names
+_VERDICTS = ("not_positive", "positive", "singular")  # sorted: the scan's codes 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -253,28 +254,34 @@ class RegionScanResult:
         return int(np.count_nonzero(self.verdict == "positive"))
 
     def write_csv(self, stream) -> None:
-        """Header plus one line per cell, 17 significant digits, one write per axis1 value.
+        """Header plus one line per cell, 17 significant digits.
 
-        In the row-major layout each axis value is formatted once: the c_y
-        strings once per grid, each c_x string into its row's format string.
-        The grid rows are formatted in contiguous parts, one per usable CPU
-        (see ``parallel.write_rows``), with the same bytes on any CPU count.
+        Each number reads as ``'%.17g' % value``.  ``fmt17`` writes those
+        bytes from array operations, ``fmt17.BLOCK`` lines at a time, at
+        about 0.15 us per number where ``%`` took about 0.5 us; it calls
+        ``%`` itself only for near-ties and numbers outside [1e-280, 1e280].
+        The verdict enters as one of three fixed fields.  The grid rows are
+        formatted in contiguous parts, one per usable CPU (see
+        ``parallel.write_rows``), with the same bytes on any CPU count.
         """
+        from . import fmt17  # imported here, as below: verify and represent never load them
+        from .parallel import write_rows
+
         stream.write("c_x,c_y,verdict,min_eigenvalue,prefactor_1,prefactor_2,prefactor_3\n")
         n = self.grid.axis2.n
-        ys = ["%.17g" % y for y in self.c_y[:n].tolist()]
-        cols = (self.verdict, self.min_eigenvalue, *self.prefactors.T)
+        verdicts = fmt17.text_fields(_VERDICTS)
+
+        def lines(start: int, stop: int) -> str:
+            numbers = (self.c_x, self.c_y, self.min_eigenvalue, *self.prefactors.T)
+            cells = fmt17.fields(np.column_stack([c[start:stop] for c in numbers]))
+            verdict = verdicts[np.searchsorted(_VERDICTS, self.verdict[start:stop])]
+            return fmt17.text(np.insert(cells, 2, verdict, axis=1))
 
         def text(lo: int, hi: int) -> str:
-            out = []
-            for start in range(lo * n, hi * n, n):
-                line = "%.17g,%%s,%%s,%%.17g,%%.17g,%%.17g,%%.17g\n" % self.c_x[start]
-                rows = zip(ys, *(c[start:start + n].tolist() for c in cols))
-                out.append("".join(line % row for row in rows))
-            return "".join(out)
+            return "".join(lines(start, min(start + fmt17.BLOCK, hi * n))
+                           for start in range(lo * n, hi * n, fmt17.BLOCK))
 
-        from .parallel import write_rows  # imported here: verify and represent never load it
-        write_rows(stream, self.verdict.size // n, text, lines=n)
+        write_rows(stream, self.verdict.size // n, text, step=max(1, fmt17.BLOCK // n), lines=n)
 
 
 def _axis_values(ax: AxisSpec) -> np.ndarray:
@@ -357,15 +364,15 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
             lam, by_eig = eigenvalue_split(weights, p)
             by_pref = np.all(pref > 0.0, axis=-1)
             # basic slices are views, so each masked write lands in the shared columns
-            floats[:, cells], flags[:, cells] = np.nan, 0
+            floats[:, cells], flags[:, cells] = np.nan, [[_VERDICTS.index("singular")], [0]]
             floats[0, cells][ok] = lam
             floats[1:, cells].T[ok] = pref
-            flags[0, cells][ok] = np.where(by_pref, 1, 2)
+            flags[0, cells][ok] = by_pref  # the codes of _VERDICTS
             flags[1, cells][ok] = by_pref != by_eig
 
     blocks = -(-count // _SCAN_BLOCK)
     parts = usable_cpus(blocks)
     cuts = [_SCAN_BLOCK * (blocks * i // parts) for i in range(parts + 1)]
     run_parts(parts, fill_part)
-    verdict = np.array(["singular", "positive", "not_positive"])[flags[0]]
+    verdict = np.array(_VERDICTS)[flags[0]]
     return RegionScanResult(grid, c_x, c_y, verdict, floats[0], floats[1:].T, flags[1].view(bool))

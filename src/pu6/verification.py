@@ -21,7 +21,7 @@ import numpy as np
 
 from . import core, hierarchy, positivity, symmetries
 from .core import PAIRS, PUParams, frequencies_from_params
-from .errors import ComplexFrequencies, GammaZero
+from .errors import ComplexFrequencies, ConfigError, GammaZero
 
 _OPERANDS = "relative to operand scale"
 
@@ -173,13 +173,16 @@ def run_invariant_suite(
     def dual_flow_recovery():
         # a singular draw has probability zero, so a rejected one means coeffs_dual
         # refuses regular input: it fails the check, with a NaN residual
-        ham = rng.normal(size=(n_random, 3))
-        tensor, regular, _ = hierarchy._dual_weights(ham, p)
-        if not regular.all():
-            return float("nan"), 1e-8, f"{np.count_nonzero(~regular)} of {n_random} draws rejected"
-        c = hierarchy.CombinationCoeffs(*tensor.T, *ham.T)
-        flows = hierarchy.combined_flow(c, p)
-        e = hierarchy.flow_expansion_coefficients(c, p) - (1.0, 0.0, 0.0)
+        try:
+            ham = rng.normal(size=(n_random, 3))
+            tensor, regular, _ = hierarchy._dual_weights(ham, p)
+            if not regular.all():
+                return float("nan"), 1e-8, f"{np.count_nonzero(~regular)} of {n_random} draws rejected"
+            c = hierarchy.CombinationCoeffs(*tensor.T, *ham.T)
+            flows = hierarchy.combined_flow(c, p)
+            e = hierarchy.flow_expansion_coefficients(c, p) - (1.0, 0.0, 0.0)
+        except MemoryError:
+            raise ConfigError(f"a batch of {n_random} random draws does not fit in memory") from None
         return max(_rel(flows - F, F), np.abs(e).max(initial=0.0)), 1e-8, f"{n_random} random draws"
 
     def ostrogradsky_consistency():

@@ -52,27 +52,38 @@ def hamiltonian_entries(al, be, ga) -> tuple:
     )
 
 
+def flow_entries(al, be, ga) -> dict:
+    """The non-zero entries {(i, j): value} of the companion matrix F."""
+    return {**{(i, i + 1): 1 for i in range(5)}, (5, 0): -ga, (5, 2): -be, (5, 4): -al}
+
+
+def tensor_entries(al, be, ga) -> tuple:
+    """(upper-triangle entries, scale) of J1..J3, each J_k the antisymmetric entries / scale.
+
+    For any number type or symbol; the scales are 1, gamma and gamma^2.
+    """
+    ab = al * al - be
+    d1 = al ** 3 - 2 * al * be + ga
+    d2 = al ** 4 - 3 * al * al * be + 2 * al * ga + be * be
+    return (
+        ({(0, 5): 1, (1, 4): -1, (2, 3): 1, (2, 5): -al, (3, 4): al, (4, 5): ab}, 1),
+        ({(0, 3): -1, (0, 5): al, (1, 2): 1, (1, 4): -al, (2, 3): al, (2, 5): -ab, (3, 4): ab,
+          (4, 5): d1}, ga),
+        ({(0, 1): 1, (0, 3): -al, (0, 5): ab, (1, 2): al, (1, 4): -ab, (2, 3): ab, (2, 5): -d1,
+          (3, 4): d1, (4, 5): d2}, ga * ga),
+    )
+
+
 class Reference50:
     """The model (alpha, beta, gamma) at 50 digits."""
 
     def __init__(self, alpha, beta, gamma):
         al, be, ga = mpf(alpha), mpf(beta), mpf(gamma)
         self.F = mp.matrix(6, 6)
-        for i in range(5):
-            self.F[i, i + 1] = 1
-        self.F[5, 0], self.F[5, 2], self.F[5, 4] = -ga, -be, -al
+        for (i, j), v in flow_entries(al, be, ga).items():
+            self.F[i, j] = v
         self.H = tuple(_symmetric(h) for h in hamiltonian_entries(al, be, ga))
-        ab = al * al - be
-        d1 = al ** 3 - 2 * al * be + ga
-        d2 = al ** 4 - 3 * al * al * be + 2 * al * ga + be * be
-        self.J = (
-            _antisymmetric({(0, 5): 1, (1, 4): -1, (2, 3): 1, (2, 5): -al, (3, 4): al,
-                            (4, 5): ab}, 1),
-            _antisymmetric({(0, 3): -1, (0, 5): al, (1, 2): 1, (1, 4): -al, (2, 3): al,
-                            (2, 5): -ab, (3, 4): ab, (4, 5): d1}, ga),
-            _antisymmetric({(0, 1): 1, (0, 3): -al, (0, 5): ab, (1, 2): al, (1, 4): -ab,
-                            (2, 3): ab, (2, 5): -d1, (3, 4): d1, (4, 5): d2}, ga * ga),
-        )
+        self.J = tuple(_antisymmetric(j, scale) for j, scale in tensor_entries(al, be, ga))
         roots = mp.polyroots([1, -al, be, -ga], extraprec=200)
         sq = sorted((mp.re(x) for x in roots), reverse=True)  # real for an oscillatory model
         self.squares = tuple(sq)

@@ -10,7 +10,7 @@ from pu6.core import Degeneracy, FrequencyTriple
 from pu6.hierarchy import _duality_matrices
 
 sp = pytest.importorskip("sympy")
-from reference50 import hamiltonian_entries  # noqa: E402  mpmath comes with sympy
+from reference50 import flow_entries, hamiltonian_entries, tensor_entries  # noqa: E402
 
 
 def test_closed_form_weights_solve_the_duality_table():
@@ -79,3 +79,31 @@ def test_ta1_radicand_is_the_fully_coupled_family_polynomial():
                 + 2 * al * (be * (9 * be + 27 * ga + 8) + 12 * ga + 2) - 3 * al ** 4
                 - 3 * (be + 3 * ga) ** 2 - 4 * be - 8 * ga - 1)
     assert sp.expand(pu6.ta1_radicand(pu6.PUParams(al, be, ga)) - radicand) == 0
+
+
+def _matrix(entries: dict, mirror: int = 0) -> "sp.Matrix":
+    """The 6x6 matrix of ``entries``, each also set at (j, i) times ``mirror`` when that is non-zero."""
+    m = sp.zeros(6, 6)
+    for (i, j), v in entries.items():
+        m[i, j] = v
+        if mirror:
+            m[j, i] = mirror * v
+    return m
+
+
+def test_poisson_tensors_give_the_flow_with_their_determinants():
+    """J_k H_k = F and det J_k = gamma^(4 - 4k), that is 1, gamma^-4, gamma^-8, exactly.
+
+    Over symbolic (alpha, beta, gamma), on the entries of ``tensor_entries``,
+    ``hamiltonian_entries`` and ``flow_entries`` (``test_reference50.py``
+    checks them against ``core``'s float matrices).  ``verify``'s
+    flow_equality and poisson_determinants checks test these identities in
+    floating point.
+    """
+    al, be, ga = sp.symbols("alpha beta gamma")
+    F = _matrix(flow_entries(al, be, ga))
+    tensors = tensor_entries(al, be, ga)
+    for k, ((j, scale), h) in enumerate(zip(tensors, hamiltonian_entries(al, be, ga)), 1):
+        M = _matrix(j, -1)  # scale J_k, a polynomial matrix; scale = gamma^(k - 1)
+        assert (M * _matrix(h, 1) - scale * F).expand() == sp.zeros(6, 6), k
+        assert sp.expand(M.det(method="berkowitz") - scale ** 6 * ga ** (4 - 4 * k)) == 0, k

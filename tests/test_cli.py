@@ -436,6 +436,34 @@ def test_scan_grid_too_large_for_memory_exits_2(tmp_path, capsys, n1, n2):
         "config error: a scan grid of 1000000000000 cells does not fit in memory\n")
 
 
+@pytest.mark.skipif(_overcommits_always(), reason="allocations are granted, not refused")
+@pytest.mark.parametrize("method", ["rk4", "exact"])
+def test_simulate_too_long_for_memory_exits_2(tmp_path, capsys, method):
+    """10^12 steps (7.28 TiB of times alone) are a config error that names the size, not a traceback.
+
+    The refusal comes before anything is written.
+    """
+    cfg = _model321()
+    cfg["simulate"] = {"dt": 1e-3, "t_end": 1e9, "method": method}
+    base = tmp_path / "run"
+    assert cli.main(["--config", _write(tmp_path, "c.json", cfg), "--out", str(base), "simulate"]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+    assert capsys.readouterr() == ("", "config error: a trajectory of 1000000000001 states "
+                                       "does not fit in memory\n")
+
+
+@pytest.mark.skipif(_overcommits_always(), reason="allocations are granted, not refused")
+def test_verify_too_many_draws_for_memory_exits_2(tmp_path, capsys):
+    """A batch of 10^12 random draws is a config error that names its size; no report is written."""
+    cfg = _model321()
+    cfg["verify"] = {"n_random": 10 ** 12}
+    out = tmp_path / "report.json"
+    assert cli.main(["--config", _write(tmp_path, "c.json", cfg), "--out", str(out), "verify"]) == 2
+    assert not out.exists()
+    assert capsys.readouterr() == ("", "config error: a batch of 1000000000000 random draws "
+                                       "does not fit in memory\n")
+
+
 @pytest.mark.parametrize("omegas", [[2, 2, 1], [200, 200, 100], [2, 1, 1], [1, 1, 1]])
 def test_scan_degenerate_frequencies_exit_2(tmp_path, capsys, omegas):
     """A scan needs distinct frequencies: a degenerate model is a config error, not exit 1.

@@ -85,11 +85,11 @@ def test_import_cli_loads_core_and_errors_only():
 
 
 @pytest.mark.parametrize("command, runs, absent", [
-    ("verify", "verification", {"dynamics", "parallel"}),
+    ("verify", "verification", {"dynamics", "parallel", "fmt17"}),
     ("scan", "positivity", {"dynamics", "representations", "verification", "symmetries"}),
     ("simulate", "dynamics",
      {"positivity", "hierarchy", "representations", "verification", "symmetries"}),
-    ("represent", "representations", {"dynamics", "verification", "symmetries"}),
+    ("represent", "representations", {"dynamics", "verification", "symmetries", "fmt17"}),
 ])
 def test_subcommand_loads_only_its_own_modules(tmp_path, command, runs, absent):
     (tmp_path / "c.json").write_text(json.dumps(TINY))
