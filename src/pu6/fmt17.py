@@ -208,7 +208,7 @@ def fields(table: np.ndarray) -> np.ndarray:
         out[start:start + _GATHER] = source.take(index)
     fallback = (cls == _FALLBACK_CLASS).nonzero()[0]
     if fallback.size:
-        numbers = b"".join(b"%-*.17g" % (WIDTH, v) for v in x[fallback].tolist()).replace(b" ", b"\0")
+        numbers = b"".join(b"%-*.17g" % (WIDTH, v) for v in x[fallback].tolist()).replace(b" ", bytes([PAD]))
         out[fallback, :WIDTH] = np.frombuffer(numbers, dtype=np.uint8).reshape(-1, WIDTH)
     out = out.reshape(n, columns, WIDTH + 1)
     out[:, -1, WIDTH] = ord("\n")
