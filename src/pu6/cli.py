@@ -194,9 +194,12 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
     p = cfg.params
     sol = divergent = None
     if interaction is None:
-        with contextlib.suppress(Pu6Error):
+        try:
             sol = dynamics.solve_exact(cfg.frequencies, initial)
             divergent = dynamics.divergent_mode_present(sol)
+        except Pu6Error as exc:  # an overflowing exact solution ends an exact run; rk4 finds its own
+            if method == "exact" and isinstance(exc, NonFinite):
+                raise
 
     if method == "exact":
         if sol is None:

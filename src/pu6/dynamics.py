@@ -46,7 +46,7 @@ from .core import (
     params_from_frequencies,
 )
 from . import fmt17
-from .errors import ConfigError, NonFinite, SingularModeMatrix
+from .errors import NonFinite, SingularModeMatrix, fits_in_memory
 from .parallel import write_rows
 
 
@@ -158,10 +158,14 @@ def solve_exact(f: FrequencyTriple, initial) -> ExactSolution:
         raise SingularModeMatrix(
             f"mode matrix singular for {f}; degeneracy likely misclassified"
         ) from exc
-    # row `order` of M grows like w1^order, so compare each row on its own scale
+    if not np.isfinite(coeffs).all():
+        raise NonFinite("state overflowed at t=0 (mode coefficients beyond the float range)")
+    # row `order` of M grows like w1^order, so compare each row on its own scale;
+    # coefficients near the float range may overflow M @ coeffs, and a NaN fails
     rows = max(1.0, f.omegas[0]) ** np.arange(DIM)
-    resid = (np.abs(M @ coeffs - s0) / rows).max()
-    if resid > 1e-9 * max(1.0, (np.abs(s0) / rows).max()):
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = (np.abs(M @ coeffs - s0) / rows).max()
+    if not resid <= 1e-9 * max(1.0, (np.abs(s0) / rows).max()):
         raise SingularModeMatrix(f"mode matching residual {resid:.3e} too large for {f}")
     return ExactSolution(frequencies=f, modes=tuple(modes), coefficients=coeffs)
 
@@ -276,10 +280,6 @@ def step_count(t_end: float, dt: float) -> int:
     return int(round(steps))
 
 
-def _too_long(n_steps: int) -> ConfigError:
-    return ConfigError(f"a trajectory of {n_steps + 1} states does not fit in memory")
-
-
 _RK4_BLOCK = 128  # linear RK4 states filled from one state, at most
 _RK4_GROWTH = 1.5  # a block ends where max|D_i| first exceeds this times i max|D_1|
 
@@ -301,11 +301,9 @@ def integrate_rk4(
     outcomes to report.
     """
     n_steps = step_count(t_end, dt)
-    try:
+    with fits_in_memory(f"a trajectory of {n_steps + 1} states"):
         times = np.arange(n_steps + 1) * dt
         states = np.empty((n_steps + 1, DIM))
-    except MemoryError:
-        raise _too_long(n_steps) from None
     s = as_state(initial)
     states[0] = s
     if interaction is None:
@@ -344,13 +342,12 @@ def _linear_rk4(F: np.ndarray, dt: float, states: np.ndarray) -> None:
     loop's stage sum k1 + 2k2 + 2k3 + k4 from its state, is non-finite; no
     stage can overflow from max|s| <= 2^1000 / (6c (1 + c dt)^3), c = max_i sum_j |F_ij|.
     """
-    a = dt * F
     eye = np.eye(DIM)
-    qt = (a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)).T
     powers = np.empty((_RK4_BLOCK, DIM, DIM))
-    powers[0] = qt
     n = len(states) - 1
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # dt F itself may overflow
+        a = dt * F
+        powers[0] = (a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)).T
         m = 1
         while m < _RK4_BLOCK:
             k = min(m, _RK4_BLOCK - m)
@@ -384,12 +381,10 @@ def _linear_rk4(F: np.ndarray, dt: float, states: np.ndarray) -> None:
 
 def exact_trajectory(sol: ExactSolution, t_end: float, dt: float) -> Trajectory:
     n_steps = step_count(t_end, dt)
-    try:
+    with fits_in_memory(f"a trajectory of {n_steps + 1} states"):
         times = np.arange(n_steps + 1) * dt
         with np.errstate(over="ignore", invalid="ignore"):
             states = sol.states(times)
-    except MemoryError:
-        raise _too_long(n_steps) from None
     _require_finite("state", times, states)
     return Trajectory(times=times, states=states, method="exact")
 
@@ -423,14 +418,11 @@ def trajectory_hamiltonians(traj: Trajectory, p: PUParams) -> tuple[list, np.nda
 def trajectory_csv(traj: Trajectory, hvals: Sequence[np.ndarray], stream) -> None:
     """Write t, the six state slots and the H columns ``hvals`` per row, to 17 digits.
 
-    Each value reads as ``'%.17g' % value``.  ``fmt17`` writes those bytes
-    from array operations, ``fmt17.BLOCK`` rows at a time, at about 0.15 us
-    per value where ``%`` took about 0.4 us; it calls ``%`` itself only for
-    near-ties and values outside [1e-280, 1e280].  The rows are formatted in
-    contiguous parts, one per usable CPU (see ``parallel.write_rows``), with
-    the same bytes on any CPU count.
+    Each value reads as ``'%.17g' % value`` (see ``fmt17``).
+    ``parallel.write_rows`` formats slices of the columns in parts and
+    blocks, with the same bytes on any CPU count.
     """
     stream.write("t,q,qdot,qddot,q3t,q4t,q5t,H1,H2,H3\n")
-    table = np.column_stack([traj.times, traj.states, *hvals])
-    write_rows(stream, len(table), lambda lo, hi: fmt17.text(fmt17.fields(table[lo:hi])),
-               step=fmt17.BLOCK)
+    columns = (traj.times, traj.states, *hvals)
+    write_rows(stream, len(traj.times),
+               lambda lo, hi: fmt17.text(fmt17.fields(np.column_stack([c[lo:hi] for c in columns]))))

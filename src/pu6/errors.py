@@ -1,4 +1,5 @@
 """Exception types shared across the package, and the config checks that raise ConfigError."""
+import contextlib
 import math
 
 
@@ -92,3 +93,12 @@ def config_value(value, name: str, kind: type = float, shape: tuple = (), minimu
     what = "an integer" if kind is int else "a finite real"
     at_least = "" if minimum is None else f" >= {minimum}"
     raise ConfigError(f"{name} must be {what}{at_least}, got {value!r}")
+
+
+@contextlib.contextmanager
+def fits_in_memory(what: str, errors=MemoryError):
+    """A ``MemoryError`` (or ``errors``) in the block is ConfigError("<what> does not fit in memory")."""
+    try:
+        yield
+    except errors:
+        raise ConfigError(f"{what} does not fit in memory") from None

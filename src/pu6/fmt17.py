@@ -1,5 +1,8 @@
 """CSV lines whose numbers read exactly as ``'%.17g' % x``, built from array operations.
 
+A value costs about 0.15 us where ``%`` takes 0.4-0.5 us; ``%`` itself runs
+only for the values named below (about 4e-5 of the benchmark's values).
+
 ``fields`` converts a value x with 1e-280 <= |x| <= 1e280 in five steps:
 
 - k = floor(log10 |x|) estimates the decimal exponent;
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import numpy as np
 
-BLOCK = 1024  # CSV lines formatted at a time, at most
 PAD = 0  # fill byte of a field, dropped by ``text``
 WIDTH = 24  # the longest number, as in '-2.2250738585072014e-308'
 _GATHER = 2048  # values per byte gather in ``fields``

@@ -1,14 +1,14 @@
-"""The usable-CPU rule, and one runner for the contiguous parts of a job.
+"""The one rule that cuts a job into parts and blocks, and one runner for the parts.
 
-``run_parts`` runs part 0 in the caller and the others in forked children:
-``region_scan``'s fill their slices of a shared anonymous mapping, and
-``write_rows``' format CSV rows into temporary files.  That work is short
-numpy calls that hold the GIL, so pu6 runs it in processes and starts no
-thread.  The rows are formatted by ``fmt17``: the bytes of ``'%.17g' %``
-from array operations, about 0.15 us per value, with ``%`` itself only for
-near-ties and values outside [1e-280, 1e280] (about 4e-5 of the benchmark's
-values).  No byte depends on the part or CPU count, since every part does
-the same arithmetic.  A part whose child fails is run again in the caller,
+``split`` cuts [0, n) into contiguous parts, one per usable CPU, each of at
+least the number of items its caller measured worth a fork; ``blocks``
+walks a part ``BLOCK`` items at a time.  ``run_parts`` runs part 0 in the
+caller and the others in forked children: ``region_scan``'s fill their
+cells of a shared anonymous mapping, and ``write_rows``' format CSV lines
+(with ``fmt17``) into temporary files.  That work is short numpy calls
+that hold the GIL, so pu6 runs it in processes and starts no thread.  No
+byte depends on the part, block or CPU count, since every item gets the
+same arithmetic.  A part whose child fails is run again in the caller,
 which then raises that part's own exception or, where only the child
 failed, gets clean bytes.
 
@@ -23,6 +23,11 @@ import os
 import shutil
 import tempfile
 import warnings
+
+# Items per call of a per-block function: scan cells, or CSV lines.  Blocks
+# bound the temporaries (scan-grid's peak RSS: 126.1 MB at 1024 cells,
+# 131.4 MB at 4096).
+BLOCK = 1024
 
 # Fewest output lines per part.  On a 2-CPU host, with ``fmt17`` writing a
 # CSV line in about 1.5 us (trajectory) or 1.05 us (scan), a second part cost
@@ -42,61 +47,63 @@ def usable_cpus(limit: int) -> int:
     return min(os.cpu_count() or 1, limit)
 
 
-def run_parts(parts: int, run) -> None:
-    """Call ``run(i)`` for each part i in [0, parts): part 0 here, the others in forked children.
+def split(n: int, least: int) -> list[int]:
+    """Cuts 0 = c_0 <= ... <= c_k = n of [0, n) into k = min(usable CPUs, n // least) parts, at least one."""
+    parts = usable_cpus(max(n // least, 1))
+    return [n * i // parts for i in range(parts + 1)]
 
-    A part whose child fails is run again here, so ``run(i)`` must write
-    all of part i's output.  Every child is reaped before this returns.
+
+def blocks(lo: int, hi: int):
+    """The (start, stop) blocks of [lo, hi), ``BLOCK`` items each but the last."""
+    return ((start, min(start + BLOCK, hi)) for start in range(lo, hi, BLOCK))
+
+
+def run_parts(cuts: list[int], run) -> None:
+    """Call ``run(i, cuts[i], cuts[i + 1])`` for each part: part 0 here, the others in forked children.
+
+    A part whose child fails is run again here, so ``run`` must write all
+    of its part's output.  Every child is reaped before this returns.
     """
     pids = []
     try:
-        for i in range(1, parts):
+        for i in range(1, len(cuts) - 1):
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
                 pid = os.fork()
             if pid == 0:
                 try:
-                    run(i)
+                    run(i, cuts[i], cuts[i + 1])
                     os._exit(0)
                 finally:
                     os._exit(1)
             pids.append(pid)
-        run(0)
+        run(0, cuts[0], cuts[1])
     finally:
         failed = [i for i, pid in enumerate(pids, 1) if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])]
     for i in failed:
-        run(i)
+        run(i, cuts[i], cuts[i + 1])
 
 
-def _write_range(stream, text, lo: int, hi: int, step: int) -> None:
-    for start in range(lo, hi, step):
-        stream.write(text(start, min(start + step, hi)))
+def write_rows(stream, n: int, text) -> None:
+    """Write ``text(start, stop)`` for the ``blocks`` of [0, n), one output line per item.
 
-
-def write_rows(stream, n: int, text, step: int = 1, lines: int = 1) -> None:
-    """Write ``text(lo, hi)`` for the rows [0, n), at most ``step`` rows per call.
-
-    Each row is ``lines`` output lines.  The rows are split into contiguous
-    parts, one per usable CPU, of at least ``MIN_PART_LINES`` lines each.
-    Part 0 is written straight into ``stream``; ``run_parts`` formats the
-    later parts in children, into temporary files copied into ``stream`` in
-    order.
+    The items are ``split`` into parts of at least ``MIN_PART_LINES``.  Part
+    0 is written straight into ``stream``; the later parts are formatted in
+    children, into temporary files copied into ``stream`` in order.
     """
-    parts = usable_cpus(max(n // -(-MIN_PART_LINES // lines), 1))
-    cuts = [n * i // parts for i in range(parts + 1)]
+    cuts = split(n, MIN_PART_LINES)
     tmps = [tempfile.TemporaryFile("w+", encoding="utf-8", newline="") for _ in cuts[2:]]
 
-    def run(i: int) -> None:
-        if i == 0:
-            return _write_range(stream, text, 0, cuts[1], step)
-        tmp = tmps[i - 1]
-        tmp.seek(0)
-        tmp.truncate()
-        _write_range(tmp, text, cuts[i], cuts[i + 1], step)
-        tmp.flush()
+    def run(i: int, lo: int, hi: int) -> None:
+        out = tmps[i - 1] if i else stream
+        if i:  # a failed child's part is written again from an empty file
+            out.seek(0)
+            out.truncate()
+        out.writelines(text(start, stop) for start, stop in blocks(lo, hi))
+        out.flush()
 
     try:
-        run_parts(parts, run)
+        run_parts(cuts, run)
         for tmp in tmps:
             tmp.seek(0)
             shutil.copyfileobj(tmp, stream)

@@ -32,14 +32,14 @@ from .core import (
     _model_matrices,
     params_from_frequencies,
 )
-from .errors import ConfigError, SingularCombination, config_value
+from .errors import ConfigError, SingularCombination, config_value, fits_in_memory
 from .hierarchy import CombinationCoeffs, _pair_quadratic, _require_order, _tensor_duality, _weighted_sum
 from .hierarchy import coeffs_from_tensor  # noqa: F401  perfbench/tests checks its rebinding here
 
 _EIG_REL_TOL = 1e-10  # eigenvalue rule: positive iff lambda_min > _EIG_REL_TOL * spectral norm
 _PARITY = np.array([[0, 2, 4], [1, 3, 5]])  # even and odd slots under time reversal
 _BLOCKS = DIM * _PARITY[:, :, None] + _PARITY[:, None, :]  # flat indices of the 2 parity blocks
-_SCAN_BLOCK = 1024  # grid cells per region_scan block
+_MIN_PART_CELLS = 1024  # fewest region_scan cells per part: two parts break even near 2000 cells
 _FAR_BAND = 0.03  # region_scan's closed-form weights need min|P_jk| >= _FAR_BAND * max|P_jk|
 _BLOCK_MACHINERY = "positive-block machinery"  # what the distinct-frequency rule names
 _VERDICTS = ("not_positive", "positive", "singular")  # sorted: the scan's codes 0, 1, 2
@@ -254,34 +254,25 @@ class RegionScanResult:
         return int(np.count_nonzero(self.verdict == "positive"))
 
     def write_csv(self, stream) -> None:
-        """Header plus one line per cell, 17 significant digits.
+        """Header plus one line per cell: each number as ``'%.17g' % value`` (see ``fmt17``).
 
-        Each number reads as ``'%.17g' % value``.  ``fmt17`` writes those
-        bytes from array operations, ``fmt17.BLOCK`` lines at a time, at
-        about 0.15 us per number where ``%`` took about 0.5 us; it calls
-        ``%`` itself only for near-ties and numbers outside [1e-280, 1e280].
-        The verdict enters as one of three fixed fields.  The grid rows are
-        formatted in contiguous parts, one per usable CPU (see
-        ``parallel.write_rows``), with the same bytes on any CPU count.
+        The verdict enters as one of three fixed fields.  ``parallel.write_rows``
+        formats the cells in parts and blocks, with the same bytes on any
+        CPU count.
         """
         from . import fmt17  # imported here, as below: verify and represent never load them
         from .parallel import write_rows
 
         stream.write("c_x,c_y,verdict,min_eigenvalue,prefactor_1,prefactor_2,prefactor_3\n")
-        n = self.grid.axis2.n
         verdicts = fmt17.text_fields(_VERDICTS)
+        numbers = (self.c_x, self.c_y, self.min_eigenvalue, *self.prefactors.T)
 
-        def lines(start: int, stop: int) -> str:
-            numbers = (self.c_x, self.c_y, self.min_eigenvalue, *self.prefactors.T)
+        def text(start: int, stop: int) -> str:
             cells = fmt17.fields(np.column_stack([c[start:stop] for c in numbers]))
             verdict = verdicts[np.searchsorted(_VERDICTS, self.verdict[start:stop])]
             return fmt17.text(np.insert(cells, 2, verdict, axis=1))
 
-        def text(lo: int, hi: int) -> str:
-            return "".join(lines(start, min(start + fmt17.BLOCK, hi * n))
-                           for start in range(lo * n, hi * n, fmt17.BLOCK))
-
-        write_rows(stream, self.verdict.size // n, text, step=max(1, fmt17.BLOCK // n), lines=n)
+        write_rows(stream, self.verdict.size, text)
 
 
 def _axis_values(ax: AxisSpec) -> np.ndarray:
@@ -293,7 +284,7 @@ def _axis_values(ax: AxisSpec) -> np.ndarray:
 def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
     """Evaluate both positivity routes on every grid cell.
 
-    Each block of ``_SCAN_BLOCK`` row-major cells gets the tensor-weight
+    Each block of ``parallel.BLOCK`` row-major cells gets the tensor-weight
     polynomials, the Hamiltonian weights, the singularity mask, the
     prefactors and one ``eigenvalue_split`` on its non-singular cells.  A
     singular tensor combination is a cell status, not an abort.  The two
@@ -316,35 +307,31 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
     that reference shares its rounding: near the band both miss the 50-digit
     lambda_min by up to 10x the bound, the closed form by 0.094x at most.
 
-    The blocks are split into contiguous parts, one per usable CPU, run side
-    by side by ``parallel.run_parts``; the columns live in one anonymous
-    shared mapping, the verdict as uint8 codes.  Most of a block is short
-    numpy calls that hold the GIL, so threads would share one CPU; forked
-    parts do not.  Blocks bound the temporaries (scan-grid's peak RSS:
-    126.1 MB at 1024 cells, 131.4 MB at 4096).  Stacked LAPACK calls treat
-    each matrix on its own and the closed form is elementwise, so every
-    cell's bits, and the CSV, depend on neither the block size nor the part
-    count.  An exception in a block propagates with its own type.
+    ``parallel.split`` cuts the cells into parts of at least
+    ``_MIN_PART_CELLS``, run side by side by ``parallel.run_parts``; the
+    columns live in one anonymous shared mapping, the verdict as uint8
+    codes.  Most of a block is short numpy calls that hold the GIL, so
+    threads would share one CPU; forked parts do not.  Stacked LAPACK calls
+    treat each matrix on its own and the closed form is elementwise, so
+    every cell's bits, and the CSV, depend on neither the block size nor the
+    part count.  An exception in a block propagates with its own type.
     """
-    from .parallel import run_parts, usable_cpus
+    from .parallel import blocks, run_parts, split
 
     f.require_distinct(_BLOCK_MACHINERY)
     p = params_from_frequencies(f)
     m = f.pairs[0]
     vinv_cols = np.linalg.inv(np.vander(m, 3, increasing=True)).T  # column j of V^-1 pairs with m_j
     count = grid.axis1.n * grid.axis2.n
-    try:  # mmap reports a mapping too large for memory as an OSError
+    with fits_in_memory(f"a scan grid of {count} cells", (MemoryError, OSError)):  # mmap's OSError
         xs, ys = _axis_values(grid.axis1), _axis_values(grid.axis2)
         c_x, c_y = np.repeat(xs, ys.size), np.tile(ys, xs.size)
         shared = mmap.mmap(-1, 34 * count)
-    except (MemoryError, OSError):
-        raise ConfigError(f"a scan grid of {count} cells does not fit in memory") from None
     floats = np.ndarray((4, count), np.float64, shared)  # min_eigenvalue, prefactors
     flags = np.ndarray((2, count), np.uint8, shared, 32 * count)  # verdict code, disagreement
 
-    def fill_part(i: int) -> None:
-        for start in range(cuts[i], cuts[i + 1], _SCAN_BLOCK):
-            cells = slice(start, start + _SCAN_BLOCK)
+    def fill_part(i: int, lo: int, hi: int) -> None:
+        for cells in (slice(*b) for b in blocks(lo, hi)):
             block = {grid.axis1.name: c_x[cells], grid.axis2.name: c_y[cells],
                      grid.fixed_name: grid.fixed_value}
             tensor = np.broadcast_arrays(*(block[n] for n in _AXIS_NAMES))
@@ -370,9 +357,6 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
             flags[0, cells][ok] = by_pref  # the codes of _VERDICTS
             flags[1, cells][ok] = by_pref != by_eig
 
-    blocks = -(-count // _SCAN_BLOCK)
-    parts = usable_cpus(blocks)
-    cuts = [_SCAN_BLOCK * (blocks * i // parts) for i in range(parts + 1)]
-    run_parts(parts, fill_part)
+    run_parts(split(count, _MIN_PART_CELLS), fill_part)
     verdict = np.array(_VERDICTS)[flags[0]]
     return RegionScanResult(grid, c_x, c_y, verdict, floats[0], floats[1:].T, flags[1].view(bool))

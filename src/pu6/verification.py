@@ -21,7 +21,7 @@ import numpy as np
 
 from . import core, hierarchy, positivity, symmetries
 from .core import PAIRS, PUParams, frequencies_from_params
-from .errors import ComplexFrequencies, ConfigError, GammaZero
+from .errors import ComplexFrequencies, GammaZero, fits_in_memory
 
 _OPERANDS = "relative to operand scale"
 
@@ -173,7 +173,7 @@ def run_invariant_suite(
     def dual_flow_recovery():
         # a singular draw has probability zero, so a rejected one means coeffs_dual
         # refuses regular input: it fails the check, with a NaN residual
-        try:
+        with fits_in_memory(f"a batch of {n_random} random draws"):
             ham = rng.normal(size=(n_random, 3))
             tensor, regular, _ = hierarchy._dual_weights(ham, p)
             if not regular.all():
@@ -181,8 +181,6 @@ def run_invariant_suite(
             c = hierarchy.CombinationCoeffs(*tensor.T, *ham.T)
             flows = hierarchy.combined_flow(c, p)
             e = hierarchy.flow_expansion_coefficients(c, p) - (1.0, 0.0, 0.0)
-        except MemoryError:
-            raise ConfigError(f"a batch of {n_random} random draws does not fit in memory") from None
         return max(_rel(flows - F, F), np.abs(e).max(initial=0.0)), 1e-8, f"{n_random} random draws"
 
     def ostrogradsky_consistency():

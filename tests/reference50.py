@@ -3,7 +3,8 @@
 Everything here is recomputed with mpmath at ``mp.dps = 50`` from
 (alpha, beta, gamma), independently of pu6's float arithmetic:
 
-* F, J1..J3 and H1..H3, entry by entry from the formulas of ``pu6.core``;
+* F, J1..J3 and H1..H3, entry by entry from the formulas of ``pu6.core``,
+  and the generators X1..X6 from those of ``pu6.symmetries``;
 * the squared frequencies (the roots of x^3 - alpha x^2 + beta x - gamma)
   and the pair table m, s, r, den in ``pu6.core.PAIRS`` order;
 * for tensor weights (c1, c2, c3): P(m) = c3 + c2 m + c1 m^2, the block
@@ -29,6 +30,13 @@ def _symmetric(entries: dict) -> mp.matrix:
     a = mp.matrix(6, 6)
     for (i, j), v in entries.items():
         a[i, j] = a[j, i] = v
+    return a
+
+
+def _general(entries: dict, scale) -> mp.matrix:
+    a = mp.matrix(6, 6)
+    for (i, j), v in entries.items():
+        a[i, j] = mpf(v) / scale
     return a
 
 
@@ -74,6 +82,27 @@ def tensor_entries(al, be, ga) -> tuple:
     )
 
 
+def generator_entries(al, be, ga) -> tuple:
+    """(entries, scale) of the Lie generators X1..X6, each X_i its entries {(i, j): value} / scale.
+
+    For any number type or symbol; X1 is the flow F and X4 half the identity.
+    """
+    b2 = be * be - al * ga
+    ab = al * be - ga
+    return (
+        (flow_entries(al, be, ga), 1),
+        ({(0, 1): al, (0, 3): 1, (1, 2): al, (1, 4): 1, (2, 3): al, (2, 5): 1,
+          (3, 0): -ga, (3, 2): -be, (4, 1): -ga, (4, 3): -be, (5, 2): -ga, (5, 4): -be}, 1),
+        ({(0, 1): be, (0, 3): al, (0, 5): 1, **{(r, r - 1): -ga for r in range(1, 6)}}, 1),
+        ({(r, r): 1 for r in range(6)}, 2),
+        ({(0, 0): be, (0, 2): al, (0, 4): 1, (1, 1): be, (1, 3): al, (1, 5): 1,
+          (2, 0): -ga, (3, 1): -ga, (4, 2): -ga, (5, 3): -ga}, 2),
+        ({(0, 0): b2, (0, 2): ab, (0, 4): be, (1, 1): b2, (1, 3): ab, (1, 5): be,
+          (2, 0): -ga * be, (2, 2): -ga * al, (2, 4): -ga, (3, 1): -ga * be, (3, 3): -ga * al,
+          (3, 5): -ga, (4, 0): ga * ga, (5, 1): ga * ga}, 2),
+    )
+
+
 class Reference50:
     """The model (alpha, beta, gamma) at 50 digits."""
 
@@ -84,6 +113,7 @@ class Reference50:
             self.F[i, j] = v
         self.H = tuple(_symmetric(h) for h in hamiltonian_entries(al, be, ga))
         self.J = tuple(_antisymmetric(j, scale) for j, scale in tensor_entries(al, be, ga))
+        self.X = tuple(_general(x, scale) for x, scale in generator_entries(al, be, ga))
         roots = mp.polyroots([1, -al, be, -ga], extraprec=200)
         sq = sorted((mp.re(x) for x in roots), reverse=True)  # real for an oscillatory model
         self.squares = tuple(sq)

@@ -10,7 +10,8 @@ from pu6.core import Degeneracy, FrequencyTriple
 from pu6.hierarchy import _duality_matrices
 
 sp = pytest.importorskip("sympy")
-from reference50 import flow_entries, hamiltonian_entries, tensor_entries  # noqa: E402
+from pu6.verification import _ACTION_TABLE  # noqa: E402
+from reference50 import flow_entries, generator_entries, hamiltonian_entries, tensor_entries  # noqa: E402
 
 
 def test_closed_form_weights_solve_the_duality_table():
@@ -107,3 +108,39 @@ def test_poisson_tensors_give_the_flow_with_their_determinants():
         M = _matrix(j, -1)  # scale J_k, a polynomial matrix; scale = gamma^(k - 1)
         assert (M * _matrix(h, 1) - scale * F).expand() == sp.zeros(6, 6), k
         assert sp.expand(M.det(method="berkowitz") - scale ** 6 * ga ** (4 - 4 * k)) == 0, k
+
+
+def _symmetry_gaps(generators, hamiltonians) -> list:
+    """The identities of the Abelian algebra and of ``_ACTION_TABLE`` that do not hold exactly.
+
+    [X_i, X_j] = 0 for every pair, and X_i(H_n) = H_m (H_0 the zero form),
+    with X(H) the form matrix X^T A + A X of ``symmetries._action_matrix``
+    (its symmetrisation leaves that sum unchanged for a symmetric A).
+    """
+    X = [_matrix(x) / scale for x, scale in generators]
+    H = [sp.zeros(6, 6)] + [_matrix(h, 1) for h in hamiltonians]
+    gaps = [f"[X{i + 1}, X{j + 1}]" for i in range(6) for j in range(i + 1, 6)
+            if (X[i] * X[j] - X[j] * X[i]).expand() != sp.zeros(6, 6)]
+    for i, n, m in _ACTION_TABLE.T.tolist():
+        if (X[i - 1].T * H[n] + H[n] * X[i - 1] - H[m]).expand() != sp.zeros(6, 6):
+            gaps.append(f"X{i}(H{n})")
+    return gaps
+
+
+def test_symmetry_algebra_and_action_table_hold_exactly():
+    """The generators commute, and X_i maps H_n to the H_m of the paper's action table, exactly.
+
+    Over symbolic (alpha, beta, gamma), on the entries of ``generator_entries``
+    and ``hamiltonian_entries`` (``test_reference50.py`` checks both against
+    the float matrices); ``verify``'s abelian_algebra and action_table checks
+    test these identities in floating point.  A copy with one entry of X6
+    moved fails both tables.
+    """
+    al, be, ga = sp.symbols("alpha beta gamma")
+    hamiltonians = hamiltonian_entries(al, be, ga)
+    generators = generator_entries(al, be, ga)
+    assert _symmetry_gaps(generators, hamiltonians) == []
+    x6, scale = generators[5]
+    moved = (*generators[:5], ({**x6, (4, 0): x6[(4, 0)] + ga}, scale))
+    gaps = _symmetry_gaps(moved, hamiltonians)
+    assert "[X1, X6]" in gaps and "X6(H1)" in gaps, gaps

@@ -120,6 +120,14 @@ def test_simulate_overflow_exit_code(tmp_path):
         ([3, 2, 1], {"dt": 0.01, "t_end": 5.0, "initial": [10, 0, 0, 0, 0, 0],
                      "interaction": {"kind": "quartic", "lam": -100}},
          "state overflowed at t=1.55 (interaction term)"),
+        # dt F overflows in the RK4 increment itself
+        ([3, 2, 1], {"t_end": 1e300, "dt": 1e299},
+         "state overflowed at t=1e+299 (divergent degenerate mode)"),
+        # the exact mode coefficients of a finite state overflow: rk4 overflows on its own
+        ([3, 2, 1], {"t_end": 1.0, "initial": [1e308] * 6},
+         "state overflowed at t=0.001 (divergent degenerate mode)"),
+        ([3, 2, 1], {"method": "exact", "t_end": 1.0, "initial": [1e308] * 6},
+         "state overflowed at t=0 (mode coefficients beyond the float range)"),
     ],
 )
 def test_simulate_overflow_exits_3_before_writing(tmp_path, capsys, omegas, sim, message):

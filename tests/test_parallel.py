@@ -1,4 +1,4 @@
-"""The split CSV writer: the same bytes on any part count, and no child left behind."""
+"""The split rule and the split CSV writer: the same bytes on any part count, no child left behind."""
 import io
 import os
 import sys
@@ -33,8 +33,18 @@ def _trajectory(rows: int, seed: int):
     return pu6.Trajectory(times=times, states=states, method="rk4"), hvals
 
 
-def _parts(rows: int, lines: int, cpus: int, min_lines: int) -> int:
-    return min(cpus, max(rows // -(-min_lines // lines), 1))
+def _parts(items: int, cpus: int, least: int) -> int:
+    return min(cpus, max(items // least, 1))
+
+
+@_SETTINGS
+@given(cpus=st.integers(1, 4), n=st.integers(0, 10**6), least=st.integers(1, 10**5))
+def test_split_cuts_contiguous_parts_of_at_least_least(monkeypatch, cpus, n, least):
+    """One part per usable CPU, each of at least ``least`` items, covering [0, n) in order."""
+    _force_cpus(monkeypatch, cpus)
+    cuts = parallel.split(n, least)
+    assert cuts[0] == 0 and cuts[-1] == n and len(cuts) - 1 == _parts(n, cpus, least)
+    assert len(cuts) == 2 or min(np.diff(cuts)) >= least
 
 
 @_SETTINGS
@@ -51,7 +61,7 @@ def test_trajectory_csv_bytes_do_not_depend_on_part_count(monkeypatch, cpus, row
         forked = _counting_forks(m)
         split = io.StringIO()
         pu6.trajectory_csv(traj, hvals, split)
-    assert len(forked) == _parts(rows, 1, cpus, MIN) - 1
+    assert len(forked) == _parts(rows, cpus, MIN) - 1
     assert split.getvalue() == one.getvalue()
     assert one.getvalue().count("\n") == rows + 1
 
@@ -75,7 +85,7 @@ def _scan_result(n1: int, n2: int, seed: int) -> pu6.positivity.RegionScanResult
 @given(cpus=st.sampled_from([2, 3]), min_lines=st.sampled_from([1, 40, MIN]),
        n2=st.integers(1, 50), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_scan_csv_bytes_do_not_depend_on_part_count(monkeypatch, cpus, min_lines, n2, data, seed):
-    """Grid rows split into 1, 2 or 3 parts, singular cells included, give the one-part bytes."""
+    """Cells split into 1, 2 or 3 parts, mid-row too, singular cells included, give the one-part bytes."""
     n1 = data.draw(_row_counts(-(-min_lines // n2)), label="n1")
     res = _scan_result(n1, n2, seed)
     monkeypatch.setattr(parallel, "MIN_PART_LINES", min_lines)
@@ -88,7 +98,7 @@ def test_scan_csv_bytes_do_not_depend_on_part_count(monkeypatch, cpus, min_lines
         forked = _counting_forks(m)
         split = io.StringIO()
         res.write_csv(split)
-    assert len(forked) == _parts(n1, n2, cpus, min_lines) - 1
+    assert len(forked) == _parts(n1 * n2, cpus, min_lines) - 1
     assert split.getvalue() == one.getvalue()
     assert one.getvalue().count(",singular,nan,nan,nan,nan\n") == np.count_nonzero(
         res.verdict == "singular")
@@ -133,7 +143,7 @@ def test_a_failing_part_leaves_no_child(monkeypatch, failing):
         here = os.getpid() == parent
         if {"child": not here, "parent": here, "both": lo >= 2 * MIN}[failing]:
             raise _PartFailure(f"rows {lo}..{hi}")
-        return "%d\n" % lo
+        return "".join("%d\n" % row for row in range(lo, hi))
 
     out = io.StringIO()
     if failing == "child":
@@ -146,9 +156,11 @@ def test_a_failing_part_leaves_no_child(monkeypatch, failing):
 
 
 def test_one_part_without_fork(monkeypatch):
-    """Where ``os.fork`` is missing, every row is written in-process."""
+    """Where ``os.fork`` is missing, every block is written in-process."""
     monkeypatch.delattr(os, "fork")
     _force_cpus(monkeypatch, 4)
     out = io.StringIO()
-    parallel.write_rows(out, 4 * MIN, lambda lo, hi: "%d\n" % lo, step=1000)
-    assert out.getvalue() == "".join("%d\n" % lo for lo in range(0, 4 * MIN, 1000))
+    parallel.write_rows(out, 4 * MIN + 1, lambda lo, hi: "%d %d\n" % (lo, hi))
+    starts = range(0, 4 * MIN + 1, parallel.BLOCK)
+    assert out.getvalue() == "".join("%d %d\n" % (lo, min(lo + parallel.BLOCK, 4 * MIN + 1))
+                                     for lo in starts)

@@ -310,7 +310,7 @@ def test_scan_and_verdicts_share_one_eigenvalue_oracle(std_freqs, std_params, mo
 
     _force_cpus(monkeypatch, 1)
     monkeypatch.setattr(pu6.positivity, "eigenvalue_split", counted)
-    monkeypatch.setattr(pu6.positivity, "_SCAN_BLOCK", 7)
+    monkeypatch.setattr(pu6.parallel, "BLOCK", 7)
     grid = _grid(("c2", -30, -5), ("c3", 54, 159), "c1", 1.0, 6, 8)
     res = pu6.region_scan(grid, std_freqs)
     live = res.verdict != "singular"
@@ -356,6 +356,28 @@ def _no_child_left() -> bool:
     return False
 
 
+def test_small_scans_run_in_one_part(std_freqs, monkeypatch):
+    """A 1600-cell grid on 2 CPUs forks no child; a grid of twice the scan's minimum forks one.
+
+    Both give the CSV bytes of one part.  At 1600 cells a second part cost
+    more in fork and reap than it saved (README, "Scan results").
+    """
+    least = pu6.positivity._MIN_PART_CELLS
+    for n1, n2, children in ((40, 40, 0), (2, least, 1)):
+        grid = _grid(("c2", -30, 0), ("c3", 0, 150), "c1", 1.0, n1, n2)
+        texts = []
+        for cpus in (1, 2):
+            _force_cpus(monkeypatch, cpus)
+            with monkeypatch.context() as m:
+                forked = _counting_forks(m)
+                res = pu6.region_scan(grid, std_freqs)
+            assert len(forked) == (cpus - 1) * children and _no_child_left()
+            buf = io.StringIO()
+            res.write_csv(buf)
+            texts.append(buf.getvalue())
+        assert texts[0] == texts[1] and texts[0].count("\n") == 1 + n1 * n2
+
+
 @pytest.mark.parametrize("cpus", [2, 4])
 def test_scan_csv_does_not_depend_on_part_count(std_freqs, monkeypatch, cpus):
     """The README grid gives the same CSV bytes on 2 and 4 usable CPUs as on one.
@@ -393,9 +415,10 @@ class _RowFailure(Exception):
 def test_scan_row_exception_propagates(std_freqs, monkeypatch, cpus):
     """An exception raised in the block holding row 150 leaves ``region_scan`` with its own type.
 
-    Row 150 is cells 30000..30199, in block 29 of 40.  On four CPUs that
-    block lies in part 2, which a forked child runs: the child fails, and
-    this process runs part 2 again and raises there.  No child is left.
+    Row 150 is cells 30000..30199, in block 29 of 40 on one CPU.  Four CPUs
+    cut the cells at 10000, 20000 and 30000, so the row opens part 3, which a
+    forked child runs: the child fails, and this process runs part 3 again
+    and raises in its first block.  No child is left.
     """
     assert _no_child_left()
     _force_cpus(monkeypatch, cpus)
@@ -414,8 +437,8 @@ def test_scan_row_exception_propagates(std_freqs, monkeypatch, cpus):
     with pytest.raises(_RowFailure, match="row 150"):
         pu6.region_scan(README_GRID, std_freqs)
     assert len(forked) == cpus - 1 and _no_child_left()
-    # this process ran part 0 (10 blocks) and part 2 again up to block 29, or all 30 blocks
-    assert len(seen) == (20 if cpus == 4 else 30)
+    # this process ran part 0 (10 blocks) and the first block of part 3, or 30 blocks
+    assert len(seen) == (11 if cpus == 4 else 30)
 
 
 def test_scan_threshold_cell_agrees_with_per_cell_solve():
@@ -498,7 +521,7 @@ def test_scan_csv_matches_csv_writer_reference(std_freqs):
     ids=["readme-200x200", "column-2500x1", "row-1x2500", "c1-zero-40x40"],
 )
 def test_scan_csv_does_not_depend_on_block_size(std_freqs, monkeypatch, grid, singular, small_blocks):
-    """The CSV bytes are those of the default 1024-cell blocks for any block size.
+    """The CSV bytes are those of the default 1024-item blocks for any block size.
 
     Blocks of 7 cells (straddling rows), of 200, of the whole grid and of one
     cell more than the grid give the same bytes on a square grid, a single
@@ -516,7 +539,7 @@ def test_scan_csv_does_not_depend_on_block_size(std_freqs, monkeypatch, grid, si
     assert default.count("\n") == 1 + cells
     assert default.count(",singular,") == singular
     for block in (*small_blocks, 200, cells, cells + 1):
-        monkeypatch.setattr(pu6.positivity, "_SCAN_BLOCK", block)
+        monkeypatch.setattr(pu6.parallel, "BLOCK", block)
         assert csv_text() == default, block
 
 

@@ -36,9 +36,10 @@ def test_reference_model_holds_its_own_identities():
 
 
 def test_float_model_matrices_match_reference():
-    # F and H1..H3 are exact at integer (alpha, beta, gamma); J2 and J3 round once
+    # F, H1..H3 and X1..X6 are exact at integer (alpha, beta, gamma); J2 and J3 round once
     js, hs, F = pu6.core._model_matrices(P3)
-    for got, want in [(F, REF.F), *zip(hs, REF.H), *zip(js, REF.J)]:
+    xs = [pu6.symmetries.lie_generator(i, P3) for i in range(1, 7)]
+    for got, want in [(F, REF.F), *zip(hs, REF.H), *zip(js, REF.J), *zip(xs, REF.X)]:
         assert np.all(_err(got.ravel(), sum(want.tolist(), [])) <= EPS * np.abs(got.ravel()))
 
 
