@@ -38,6 +38,7 @@ from .errors import (
     ConfigError,
     NonFinite,
     Pu6Error,
+    SingularModeMatrix,
     config_object,
     config_value,
 )
@@ -197,8 +198,8 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str]) -> int:
         try:
             sol = dynamics.solve_exact(cfg.frequencies, initial)
             divergent = dynamics.divergent_mode_present(sol)
-        except Pu6Error as exc:  # an overflowing exact solution ends an exact run; rk4 finds its own
-            if method == "exact" and isinstance(exc, NonFinite):
+        except (ComplexFrequencies, SingularModeMatrix, NonFinite) as exc:
+            if method == "exact" and isinstance(exc, NonFinite):  # rk4 finds its own overflow
                 raise
 
     if method == "exact":

@@ -262,63 +262,42 @@ def flow_operator(p: PUParams) -> np.ndarray:
 def hamiltonian_form(n: int, p: PUParams) -> QuadraticForm:
     """The n-th conserved Hamiltonian (n = 1, 2, 3) as a quadratic form.
 
-    H1 is the Ostrogradsky energy rewritten on the state s; H2 and H3 are the
-    images of H1 under the two scaling symmetries (see the symmetries module).
-    Cross terms are split evenly over the two off-diagonal slots so that
-    evaluation 1/2 s^T A s reproduces the polynomial exactly.
+    H1 is the Ostrogradsky energy on the state s, its cross terms split
+    evenly over the two off-diagonal slots so that 1/2 s^T A s is the
+    polynomial exactly; H2 and H3 are its images X5(H1) and X6(H1) under the
+    scaling symmetries.  No entry takes a power, so each rescales exactly
+    under ``canonical_units``; one beyond the float range is inf or NaN.
     """
-    al, be, ga = p.alpha, p.beta, p.gamma
-    A = np.zeros((DIM, DIM))
-    if n == 1:
-        # 1/2 q3t^2 - al/2 qdd^2 + be/2 qd^2 + ga/2 q^2 + al qd q3t - q4t qdd + qd q5t
-        A[Q, Q] = ga
-        A[QD, QD] = be
-        A[QDD, QDD] = -al
-        A[Q3T, Q3T] = 1.0
-        A[QD, Q3T] = A[Q3T, QD] = al
-        A[QDD, Q4T] = A[Q4T, QDD] = -1.0
-        A[QD, Q5T] = A[Q5T, QD] = 1.0
-    elif n == 2:
-        # 1/2 (al q3t + be qd + q5t)^2
-        #   + ga/2 (be q^2 + 2 al q qdd - al qd^2 + 2 q q4t + qdd^2 - 2 qd q3t)
-        A[Q, Q] = ga * be
-        A[QD, QD] = be * be - ga * al
-        A[QDD, QDD] = ga
-        A[Q3T, Q3T] = al * al
-        A[Q5T, Q5T] = 1.0
-        A[Q, QDD] = A[QDD, Q] = ga * al
-        A[Q, Q4T] = A[Q4T, Q] = ga
-        A[QD, Q3T] = A[Q3T, QD] = al * be - ga
-        A[QD, Q5T] = A[Q5T, QD] = be
-        A[Q3T, Q5T] = A[Q5T, Q3T] = al
-    elif n == 3:
-        # be/2 (al q3t + be qd + q5t)^2 + ga/2 { (ga - 2 al be) qd^2
-        #   + (al qdd + be q)^2 - ga q (al q + 2 qdd)
-        #   - 2 qd ((al^2+be) q3t + al q5t) + 2 q4t (al qdd + be q)
-        #   - 2 q3t (al q3t + q5t) + q4t^2 }
-        A[Q, Q] = ga * be * be - ga * ga * al
-        A[QD, QD] = be ** 3 + ga * ga - 2.0 * al * be * ga
-        A[QDD, QDD] = ga * al * al
-        A[Q3T, Q3T] = be * al * al - 2.0 * ga * al
-        A[Q4T, Q4T] = ga
-        A[Q5T, Q5T] = be
-        A[Q, QDD] = A[QDD, Q] = ga * al * be - ga * ga
-        A[Q, Q4T] = A[Q4T, Q] = ga * be
-        A[QD, Q3T] = A[Q3T, QD] = al * be * be - ga * (al * al + be)
-        A[QD, Q5T] = A[Q5T, QD] = be * be - ga * al
-        A[QDD, Q4T] = A[Q4T, QDD] = ga * al
-        A[Q3T, Q5T] = A[Q5T, Q3T] = al * be - ga
-    else:
+    if n not in (1, 2, 3):
         raise ValueError(f"hamiltonian_form is defined for n in 1..3, got {n}")
-    return QuadraticForm(A)
+    return QuadraticForm(_hamiltonians(p)[n - 1])
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _hamiltonians(p: PUParams) -> tuple:
+    """The matrices of ``hamiltonian_form`` 1..3, the images from one H1."""
+    from .symmetries import _action_matrix, lie_generator  # symmetries imports core
+
+    A = np.zeros((DIM, DIM))
+    # 1/2 q3t^2 - al/2 qdd^2 + be/2 qd^2 + ga/2 q^2 + al qd q3t - q4t qdd + qd q5t
+    A[Q, Q] = p.gamma
+    A[QD, QD] = p.beta
+    A[QDD, QDD] = -p.alpha
+    A[Q3T, Q3T] = 1.0
+    A[QD, Q3T] = A[Q3T, QD] = p.alpha
+    A[QDD, Q4T] = A[Q4T, QDD] = -1.0
+    A[QD, Q5T] = A[Q5T, QD] = 1.0
+    return (A, *_action_matrix(np.array([lie_generator(5, p), lie_generator(6, p)]), A))
+
+
+@np.errstate(all="ignore")
 def poisson_tensor(k: int, p: PUParams) -> PoissonTensor:
     """The k-th Poisson tensor (k = 1, 2, 3).
 
     J1 encodes the canonical brackets on the state variables; J2 and J3 are
     the compatible tensors solving J_k grad(H_k) = F s.  Both carry inverse
-    powers of gamma, so gamma != 0 is required for k in {2, 3}.
+    powers of gamma, so gamma != 0 is required for k in {2, 3}.  Powers
+    are numpy's (Python's bits); an entry beyond the float range is inf or NaN.
     """
     al, be, ga = p.alpha, p.beta, p.gamma
     ab = al * al - be
@@ -332,7 +311,7 @@ def poisson_tensor(k: int, p: PUParams) -> PoissonTensor:
         J[Q4T, Q5T] = ab
     elif k == 2:
         p.require_gamma()
-        d1 = al ** 3 - 2.0 * al * be + ga
+        d1 = np.float64(al) ** 3 - 2.0 * al * be + ga
         J[Q, Q3T] = -1.0
         J[Q, Q5T] = al
         J[QD, QDD] = 1.0
@@ -344,8 +323,8 @@ def poisson_tensor(k: int, p: PUParams) -> PoissonTensor:
         J /= ga
     elif k == 3:
         p.require_gamma()
-        d1 = al ** 3 - 2.0 * al * be + ga
-        d2 = al ** 4 - 3.0 * al * al * be + 2.0 * al * ga + be * be
+        d1 = np.float64(al) ** 3 - 2.0 * al * be + ga
+        d2 = np.float64(al) ** 4 - 3.0 * al * al * be + 2.0 * al * ga + be * be
         J[Q, QD] = 1.0
         J[Q, Q3T] = -al
         J[Q, Q5T] = ab
@@ -388,9 +367,9 @@ def _model_matrices(p: PUParams):
     The J tuple is empty when gamma = 0, where J2 and J3 do not exist.
     """
     js = tuple(poisson_tensor(k, p).matrix for k in (1, 2, 3)) if p.gamma != 0.0 else ()
-    hs = tuple(hamiltonian_form(n, p).matrix for n in (1, 2, 3))
-    F = flow_operator(p)
-    F.flags.writeable = False
+    hs, F = _hamiltonians(p), flow_operator(p)
+    for m in (*hs, F):
+        m.flags.writeable = False
     return js, hs, F
 
 

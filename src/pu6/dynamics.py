@@ -11,8 +11,8 @@ of its first 128 powers, and fills the trajectory a block of up to 128 states
 at a time from one state; interacting flows keep the four field evaluations
 per step.  At dt <= 1e-3 the block form stays within about 1e-13 of max|s|
 of the four-stage loop (5e-12 on a fully degenerate model); at coarse steps
-secular modes amplify rounding, in every RK4 form, to at most about 24 times
-the step-by-step increment's deviation (8e-8 at (10, 10, 10), dt = 0.05).
+secular modes amplify rounding, in every RK4 form, to at most about 6 times
+the step-by-step increment's deviation (README, Integration).
 Where rounding decides the outcome the forms can part: a decaying state of
 1e300 whose rounding errors feed a growing mode overflows at a step that
 depends on those errors.
@@ -42,6 +42,7 @@ from .core import (
     _model_matrices,
     _read_only_field,
     as_state,
+    canonical_units,
     flow_operator,
     params_from_frequencies,
 )
@@ -162,7 +163,7 @@ def solve_exact(f: FrequencyTriple, initial) -> ExactSolution:
         raise NonFinite("state overflowed at t=0 (mode coefficients beyond the float range)")
     # row `order` of M grows like w1^order, so compare each row on its own scale;
     # coefficients near the float range may overflow M @ coeffs, and a NaN fails
-    rows = max(1.0, f.omegas[0]) ** np.arange(DIM)
+    rows = f.omegas[0] ** np.arange(DIM)
     with np.errstate(over="ignore", invalid="ignore"):
         resid = (np.abs(M @ coeffs - s0) / rows).max()
     if not resid <= 1e-9 * max(1.0, (np.abs(s0) / rows).max()):
@@ -301,13 +302,13 @@ def integrate_rk4(
     outcomes to report.
     """
     n_steps = step_count(t_end, dt)
-    with fits_in_memory(f"a trajectory of {n_steps + 1} states"):
+    with fits_in_memory(f"a trajectory of {n_steps + 1} states", 8 * DIM * (n_steps + 1)):
         times = np.arange(n_steps + 1) * dt
         states = np.empty((n_steps + 1, DIM))
     s = as_state(initial)
     states[0] = s
     if interaction is None:
-        _linear_rk4(_model_matrices(p)[2], dt, states)
+        _linear_rk4(_model_matrices(p)[2], dt, states, canonical_units(p)[0])
         return Trajectory(times=times, states=states, method="rk4")
     field = interaction_field(p, interaction)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -323,7 +324,7 @@ def integrate_rk4(
     return Trajectory(times=times, states=states, method="rk4")
 
 
-def _linear_rk4(F: np.ndarray, dt: float, states: np.ndarray) -> None:
+def _linear_rk4(F: np.ndarray, dt: float, states: np.ndarray, rho: float) -> None:
     """Fill states[1:] from states[0] by RK4 steps of ds/dt = F s, a block at a time.
 
     One step is s -> s + s Q^T.  The increments D_i = P^i - I of the powers
@@ -335,9 +336,12 @@ def _linear_rk4(F: np.ndarray, dt: float, states: np.ndarray) -> None:
     (D_1 always): where the powers grow faster than linearly, as secular
     (t^k cos) and exponential modes make them, the rounding of a large D_i
     would be applied over and over, so those flows take shorter blocks;
-    non-finite powers are never used.  s_j enters divided by a power of two
-    (the one just above max|s_j|, at most 2^1023), which is exact and keeps
-    the products s_j D_i^T from overflowing ahead of the state itself.
+    non-finite powers are never used.  Sizes are read exactly in the units of
+    ``canonical_units``' model, entry (r, c) of D_i^T times rho^(r - c), so
+    the blocks, and every state's bits, follow the frequency rescaling.  s_j
+    enters divided by a power of two (the one just above max|s_j|, at most
+    2^1023), which is exact and keeps the products s_j D_i^T from
+    overflowing ahead of the state itself.
     Overflow is reported at the first step whose state, or the four-stage
     loop's stage sum k1 + 2k2 + 2k3 + k4 from its state, is non-finite; no
     stage can overflow from max|s| <= 2^1000 / (6c (1 + c dt)^3), c = max_i sum_j |F_ij|.
@@ -353,7 +357,8 @@ def _linear_rk4(F: np.ndarray, dt: float, states: np.ndarray) -> None:
             k = min(m, _RK4_BLOCK - m)
             powers[m:m + k] = powers[:k] + powers[m - 1] + powers[:k] @ powers[m - 1]
             m += k
-        size = np.abs(powers).max(axis=(1, 2))
+        slots = np.arange(DIM)
+        size = np.abs(powers * rho ** np.subtract.outer(slots, slots)).max(axis=(1, 2))
         linear = size <= _RK4_GROWTH * np.arange(1, _RK4_BLOCK + 1) * size[0]
         block = max(1, int(linear.cumprod().sum()))
         wide = powers[:block].transpose(1, 0, 2).reshape(DIM, block * DIM)  # D_i^T side by side
@@ -381,7 +386,7 @@ def _linear_rk4(F: np.ndarray, dt: float, states: np.ndarray) -> None:
 
 def exact_trajectory(sol: ExactSolution, t_end: float, dt: float) -> Trajectory:
     n_steps = step_count(t_end, dt)
-    with fits_in_memory(f"a trajectory of {n_steps + 1} states"):
+    with fits_in_memory(f"a trajectory of {n_steps + 1} states", 8 * DIM * (n_steps + 1)):
         times = np.arange(n_steps + 1) * dt
         with np.errstate(over="ignore", invalid="ignore"):
             states = sol.states(times)

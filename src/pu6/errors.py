@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the config checks that raise ConfigError."""
 import contextlib
 import math
+import sys
 
 
 class Pu6Error(Exception):
@@ -96,8 +97,11 @@ def config_value(value, name: str, kind: type = float, shape: tuple = (), minimu
 
 
 @contextlib.contextmanager
-def fits_in_memory(what: str, errors=MemoryError):
-    """A ``MemoryError`` (or ``errors``) in the block is ConfigError("<what> does not fit in memory")."""
+def fits_in_memory(what: str, nbytes: int, errors=MemoryError):
+    """ConfigError("<what> does not fit in memory") for a block whose largest array has ``nbytes``:
+    at once beyond sys.maxsize (numpy cannot shape it), else on a ``MemoryError`` (or ``errors``)."""
+    if nbytes > sys.maxsize:
+        raise ConfigError(f"{what} does not fit in memory")
     try:
         yield
     except errors:

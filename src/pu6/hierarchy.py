@@ -189,9 +189,11 @@ def _span_weights(cols: np.ndarray, target: np.ndarray):
 
     One SVD also gives the largest residual entry and the solvable mask: full
     rank (s_min > 36 eps s_max, lstsq's default rcond) and a residual within
-    1e-8 of max|target|.
+    1e-8 of max|target|.  A system with a non-finite entry enters the SVD as
+    zeros, so it is rank 0 with NaN weights.
     """
-    u, s, vt = np.linalg.svd(cols, full_matrices=False)
+    finite = np.isfinite(cols).all(axis=(-2, -1))
+    u, s, vt = np.linalg.svd(np.where(finite[..., None, None], cols, 0.0), full_matrices=False)
     with np.errstate(divide="ignore", invalid="ignore"):  # s = 0 for an all-zero system
         w = (np.swapaxes(vt, -1, -2) @ ((target @ u) / s)[..., None])[..., 0]
         resid = np.abs((cols @ w[..., None])[..., 0] - target).max(axis=-1)
@@ -203,8 +205,9 @@ def _tensor_duality(tensor, p: PUParams):
     """``_span_weights`` of F over Jbar A1..A3 for scalar or stacked tensor weights (c1,c2,c3)."""
     p.require_gamma()
     js, hs, F = _model_matrices(p)
-    jbar = _weighted_sum(tensor, js)
-    cols = np.stack([(jbar @ h).reshape(jbar.shape[:-2] + (DIM * DIM,)) for h in hs], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite system is rank 0
+        jbar = _weighted_sum(tensor, js)
+        cols = np.stack([(jbar @ h).reshape(jbar.shape[:-2] + (DIM * DIM,)) for h in hs], axis=-1)
     return _span_weights(cols, F.ravel())
 
 

@@ -145,12 +145,13 @@ def eigenvalue_split(weights, p: PUParams):
     """(lambda_min, lambda_min > 1e-10 max|eigenvalue|) of Hbar = c4 H1 + c5 H2 + c6 H3.
 
     ``weights`` (c4, c5, c6) are scalars or stacked like ``hbar_prefactors``'.
-    Time reversal T = diag(1, -1, 1, -1, 1, -1) fixes every H_k exactly (no
-    builder writes an entry with i + j odd), so Hbar is block-diagonal over
-    the even slots (0, 2, 4) and the odd slots (1, 3, 5): its spectrum is
-    the union of the two 3x3 blocks'.  ``_weighted_sum`` sums the blocks
-    taken from H1..H3 on each call, so they hold the bits of the 6x6 sum's
-    entries; one ``eigvalsh`` judges the (..., 2, 3, 3) stack.
+    Time reversal T = diag(1, -1, 1, -1, 1, -1) fixes every H_k exactly (H1,
+    X5 and X6 have no entry with i + j odd, nor then have H2 = X5(H1) and
+    H3 = X6(H1)), so Hbar is block-diagonal over the even slots (0, 2, 4)
+    and the odd slots (1, 3, 5): its spectrum is the union of the two 3x3
+    blocks'.  ``_weighted_sum`` sums the blocks taken from H1..H3 on each
+    call, so they hold the bits of the 6x6 sum's entries; one ``eigvalsh``
+    judges the (..., 2, 3, 3) stack.
     """
     blocks = [h.take(_BLOCKS) for h in _model_matrices(p)[1]]
     vals = np.linalg.eigvalsh(_weighted_sum(weights, blocks))
@@ -287,8 +288,10 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
     Each block of ``parallel.BLOCK`` row-major cells gets the tensor-weight
     polynomials, the Hamiltonian weights, the singularity mask, the
     prefactors and one ``eigenvalue_split`` on its non-singular cells.  A
-    singular tensor combination is a cell status, not an abort.  The two
-    routes may disagree only in the band where a prefactor crosses zero.
+    singular tensor combination, or one whose polynomial or least-squares
+    system is not finite, is a cell status, not an abort; a model whose J1..J3
+    or H1..H3 are not finite is a ConfigError.  The two routes may disagree
+    only in the band where a prefactor crosses zero.
 
     The weights take one of two routes.  A cell far from that band, where
     min|P_jk| >= ``_FAR_BAND`` (0.03) max|P_jk| with max|P_jk| finite and
@@ -298,14 +301,8 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
     rank-0, or with non-finite closed-form weights) gets the 36x3 least
     squares of ``coeffs_from_tensor`` (``hierarchy._tensor_duality``),
     stacked over those cells, so its weights, singular verdict and CSV row
-    keep that solve's bits.  The benchmark's scan check recomputes cells
-    with that least squares at a 1e-10 eigenvalue bound.  Over all cells of
-    scan-grid seeds 101-120, those in [0.03, 0.1) sit within 0.157x that
-    bound and 0.017x the prefactor bound; [0.01, 0.03) reaches 0.558x and
-    [0.001, 0.01) 3.3x.  The cut leaves 5-10 % of those grids' cells, and a
-    third of the README grid's, on the least squares.  It stays there because
-    that reference shares its rounding: near the band both miss the 50-digit
-    lambda_min by up to 10x the bound, the closed form by 0.094x at most.
+    keep that solve's bits, whose rounding the benchmark's least-squares
+    scan check shares; README (Scan duality) gives the cut's margins.
 
     ``parallel.split`` cuts the cells into parts of at least
     ``_MIN_PART_CELLS``, run side by side by ``parallel.run_parts``; the
@@ -320,10 +317,14 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
 
     f.require_distinct(_BLOCK_MACHINERY)
     p = params_from_frequencies(f)
+    js, hs, _ = _model_matrices(p)  # js is empty where gamma underflows to 0
+    if len(js) < 3 or not np.isfinite([*js, *hs]).all():
+        raise ConfigError(f"model out of range for scan: J1..J3 and H1..H3 of {f.omegas} are not all finite")
     m = f.pairs[0]
     vinv_cols = np.linalg.inv(np.vander(m, 3, increasing=True)).T  # column j of V^-1 pairs with m_j
     count = grid.axis1.n * grid.axis2.n
-    with fits_in_memory(f"a scan grid of {count} cells", (MemoryError, OSError)):  # mmap's OSError
+    # 34 bytes a cell in the shared mapping, whose OSError is a MemoryError
+    with fits_in_memory(f"a scan grid of {count} cells", 34 * count, (MemoryError, OSError)):
         xs, ys = _axis_values(grid.axis1), _axis_values(grid.axis2)
         c_x, c_y = np.repeat(xs, ys.size), np.tile(ys, xs.size)
         shared = mmap.mmap(-1, 34 * count)
@@ -335,7 +336,8 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
             block = {grid.axis1.name: c_x[cells], grid.axis2.name: c_y[cells],
                      grid.fixed_name: grid.fixed_value}
             tensor = np.broadcast_arrays(*(block[n] for n in _AXIS_NAMES))
-            poly = tensor_weight_polynomials(*tensor, f)
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite cell is singular
+                poly = tensor_weight_polynomials(*tensor, f)
             size = np.abs(poly)
             big = size.max(axis=-1)
             far = (size.min(axis=-1) >= _FAR_BAND * big) & (0.0 < big) & (big < np.inf)
@@ -345,7 +347,7 @@ def region_scan(grid: GridSpec, f: FrequencyTriple) -> RegionScanResult:
             far[far] = np.isfinite(ham[far]).all(axis=-1)
             ok = far.copy()
             ham[~far], _, ok[~far] = _tensor_duality([t[~far] for t in tensor], p)
-            ok &= ~_polynomial_vanishes(poly)
+            ok &= ~_polynomial_vanishes(poly) & np.isfinite(poly).all(axis=-1)
             weights = ham[ok].T
             pref = hbar_prefactors(*weights, f)
             lam, by_eig = eigenvalue_split(weights, p)

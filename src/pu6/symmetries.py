@@ -85,9 +85,9 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def symmetry_action_on_form(x: np.ndarray, h: QuadraticForm) -> QuadraticForm:
     """Directional derivative X(H)(s) = (X s) . grad H(s) as a quadratic form.
 
-    With the 1/2 evaluation convention the form matrix is X^T A + A X; this
-    orientation is pinned by the identity X5(H1) = H2, which it reproduces
-    exactly, and every other table entry is then a check rather than a choice.
+    With the 1/2 evaluation convention the form matrix is X^T A + A X; ``core``
+    builds H2 = X5(H1) and H3 = X6(H1) in this orientation, which reproduces
+    the printed forms, and every other table entry is a check, not a choice.
     """
     return QuadraticForm(_action_matrix(x, h.matrix))
 

@@ -11,6 +11,11 @@ frequency round trip skip without three distinct real frequencies and
 without real ones respectively.  ``hierarchy_routes`` compares the
 recursion with the ladder route for every gamma != 0, and with the
 closed-form and block routes too when the frequencies are real and distinct.
+
+``core`` builds H2 and H3 as X5(H1) and X6(H1), so ``action_table``'s rows
+X5(H1) = H2 and X6(H1) = H3 hold by construction, with residual 0; its
+other 13 rows, ``flow_equality`` (J2 A2 = J3 A3 = F, the paper's J2 and J3),
+``hierarchy_routes`` and ``block_identity`` still test H2 and H3.
 """
 from __future__ import annotations
 
@@ -173,7 +178,7 @@ def run_invariant_suite(
     def dual_flow_recovery():
         # a singular draw has probability zero, so a rejected one means coeffs_dual
         # refuses regular input: it fails the check, with a NaN residual
-        with fits_in_memory(f"a batch of {n_random} random draws"):
+        with fits_in_memory(f"a batch of {n_random} random draws", 8 * core.DIM ** 2 * n_random):
             ham = rng.normal(size=(n_random, 3))
             tensor, regular, _ = hierarchy._dual_weights(ham, p)
             if not regular.all():

@@ -99,6 +99,37 @@ def test_simulate_exact_method(tmp_path):
     assert max(summary["max_drift"].values()) < 1e-9
 
 
+def _run_warning_free(tmp_path, cfg, command, out="run"):
+    """cli.main on ``cfg`` with every warning an error: (exit code, files left besides c.json)."""
+    path = _write(tmp_path, "c.json", cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["--config", path, "--out", str(tmp_path / out), command])
+    return code, sorted(set(os.listdir(tmp_path)) - {"c.json"})
+
+
+@pytest.mark.parametrize("k", [-3, -5, -8, -12])
+def test_simulate_exact_method_at_small_frequency_scale(tmp_path, capsys, k):
+    # the mode-matching residual reads row `order` on the scale w1^order, w1 < 1 included
+    cfg = {"model": {"omegas": [3 * 10.0 ** k, 2 * 10.0 ** k, 10.0 ** k]},
+           "simulate": {"dt": 0.1, "t_end": 1.0, "initial": [1] * 6, "method": "exact"}}
+    assert _run_warning_free(tmp_path, cfg, "simulate") == (0, ["run.csv", "run.json"])
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "run.json").read_text())["method"] == "exact"
+
+
+@pytest.mark.parametrize("k, code", [(-30, 0), (40, 3), (50, 3)])
+def test_simulate_far_from_unit_scale_ends_in_one_line(tmp_path, capsys, k, code):
+    # at 1e-30 J3, which simulate does not read, is not finite and four entries of H3
+    # underflow to 0; at 1e40 and 1e50 dt F overflows
+    cfg = {"model": {"omegas": [3 * 10.0 ** k, 2 * 10.0 ** k, 10.0 ** k]},
+           "simulate": {"dt": 0.1, "t_end": 1.0}}
+    files = ["run.csv", "run.json"] if code == 0 else []
+    assert _run_warning_free(tmp_path, cfg, "simulate") == (code, files)
+    overflow = "integration overflow: state overflowed at t=0.1 (divergent degenerate mode)\n"
+    assert capsys.readouterr().err == ("" if code == 0 else overflow)
+
+
 def test_simulate_overflow_exit_code(tmp_path):
     cfg = {
         "model": {"alpha": 0.0, "beta": 0.0, "gamma": -1.0},
@@ -470,6 +501,49 @@ def test_verify_too_many_draws_for_memory_exits_2(tmp_path, capsys):
     assert not out.exists()
     assert capsys.readouterr() == ("", "config error: a batch of 1000000000000 random draws "
                                        "does not fit in memory\n")
+
+
+@pytest.mark.parametrize("command, section, size", [
+    ("verify", {"verify": {"n_random": 2 ** 70}}, "a batch of 1180591620717411303424 random draws"),
+    ("scan", _scan_cfg(2 ** 70, 4), "a scan grid of 4722366482869645213696 cells"),
+    ("simulate", {"simulate": {"dt": 0.01, "t_end": 2 ** 70}},
+     "a trajectory of 118059162071741130342401 states"),
+], ids=["verify", "scan", "simulate"])
+def test_counts_beyond_any_array_exit_2(tmp_path, capsys, command, section, size):
+    """A count whose array numpy cannot even shape is refused as one that does not fit."""
+    assert _run_warning_free(tmp_path, {**_model321(), **section}, command) == (2, [])
+    assert capsys.readouterr() == ("", f"config error: {size} does not fit in memory\n")
+
+
+def _readme_grid(c2_min, c1, n):
+    return {**_model321(), "scan": {"axis1": {"name": "c2", "min": c2_min, "max": 0, "n": n},
+                                    "axis2": {"name": "c3", "min": 0, "max": 150, "n": 4},
+                                    "fixed": {"name": "c1", "value": c1}}}
+
+
+@pytest.mark.parametrize("c2_min, c1", [(-30, 1e308), (-1e308, 1.0)])
+def test_scan_cells_beyond_the_float_range_are_singular(tmp_path, capsys, c2_min, c1):
+    """Cells whose polynomial overflows are singular, without a warning.
+
+    The c2 = 0 cells keep the bytes they have in a grid of their own.
+    """
+    assert _run_warning_free(tmp_path, _readme_grid(c2_min, c1, 4), "scan", "a.csv") == (0, ["a.csv"])
+    assert _run_warning_free(tmp_path, _readme_grid(0, c1, 1), "scan", "b.csv")[0] == 0
+    rows = (tmp_path / "a.csv").read_text().splitlines()[1:]
+    assert all(r.split(",")[2] == "singular" for r in rows[:12])
+    assert rows[12:] == (tmp_path / "b.csv").read_text().splitlines()[1:]
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "0 positive of 16 cells; 0 method disagreements" and len(err) == 2
+
+
+@pytest.mark.parametrize("k", [30, 25, -30])
+def test_scan_refuses_a_model_whose_matrices_leave_the_float_range(tmp_path, capsys, k):
+    cfg = _readme_grid(-30, 1.0, 4)
+    cfg["model"]["omegas"] = [3 * 10.0 ** k, 2 * 10.0 ** k, 10.0 ** k]
+    assert _run_warning_free(tmp_path, cfg, "scan", "region.csv") == (2, [])
+    err = capsys.readouterr().err
+    assert err.startswith("config error: model out of range for scan: J1..J3 and H1..H3 of (")
+    assert err.endswith(") are not all finite\n") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("omegas", [[2, 2, 1], [200, 200, 100], [2, 1, 1], [1, 1, 1]])

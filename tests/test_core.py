@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,32 @@ def test_gamma_zero_rejected():
     for k in (2, 3):
         with pytest.raises(pu6.GammaZero):
             pu6.poisson_tensor(k, p)
+
+
+def test_poisson_tensors_keep_the_bits_of_float_arithmetic(param_sets):
+    # numpy scalars round as Python floats do, ** included: every entry is that of the
+    # printed formulas of tests/reference50.py evaluated on floats
+    from reference50 import tensor_entries
+
+    for p in param_sets + [pu6.PUParams(14.0, 49.0, 36.0), pu6.PUParams(1e40, 3e79, 2e119)]:
+        for k, (entries, scale) in enumerate(tensor_entries(p.alpha, p.beta, p.gamma), 1):
+            want = np.zeros((6, 6))
+            for (i, j), v in entries.items():
+                want[i, j], want[j, i] = v / scale, -v / scale
+            assert pu6.poisson_tensor(k, p).matrix.tobytes() == want.tobytes(), (p, k)
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1e25, 1e40, 1e50])
+def test_model_builders_neither_raise_nor_warn_beyond_the_float_range(scale):
+    """Entries that leave the float range are inf or NaN: no OverflowError and no warning."""
+    p = pu6.params_from_frequencies(pu6.frequency_triple(3 * scale, 2 * scale, scale))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        js, hs, F = pu6.core._model_matrices.__wrapped__(p)
+        for k in (1, 2, 3):
+            assert pu6.poisson_tensor(k, p).matrix.tobytes() == js[k - 1].tobytes()
+            np.testing.assert_array_equal(pu6.hamiltonian_form(k, p).matrix, hs[k - 1])
+    assert not np.isfinite([*js, *hs]).all() and np.isfinite(F).all()
 
 
 def test_determinants_random_sets(param_sets):

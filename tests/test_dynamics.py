@@ -282,7 +282,7 @@ def test_linear_rk4_secular_coarse_step_deviation_is_bounded(omegas, dt):
     # a fully degenerate flow grows like t^2, which amplifies the rounding of
     # the powers of the step; blocks end where the powers outgrow i D_1, and
     # the states stay within 1e-7 of max|s| of the four-stage loop (measured:
-    # 2.5e-8, 2.7e-8 and 9e-10; 2.2e-6, 9.1e-7 and 1.1e-9 with full blocks)
+    # 8.5e-9, 1.2e-8 and 6.2e-11; 2.2e-6, 9.1e-7 and 1.1e-9 with full blocks)
     p = pu6.params_from_frequencies(pu6.frequency_triple(*omegas))
     s0 = np.random.default_rng(5).uniform(-1.0, 1.0, size=6)
     traj = pu6.integrate_rk4(p, s0, t_end=5000 * dt, dt=dt)

@@ -272,7 +272,8 @@ def _reference_scan(grid, f):
 def test_scan_matches_per_cell_reference(std_freqs, grid, singular):
     """Exact verdicts and singular set; numbers within 1e-11 of the per-cell lstsq reference.
 
-    The scan solves the duality by a stacked SVD rather than the per-cell
+    The scan gives cells far from the band the closed-form weights
+    V^-1 (m^2 / P(m)) and the others a stacked SVD, not the per-cell
     ``lstsq``, so its eigenvalues and prefactors differ in the last bits
     (at most about 1e-12 of the scale on the benchmark grids).
     """

@@ -43,6 +43,15 @@ def test_float_model_matrices_match_reference():
         assert np.all(_err(got.ravel(), sum(want.tolist(), [])) <= EPS * np.abs(got.ravel()))
 
 
+def test_derived_forms_match_reference_at_a_non_integer_model():
+    # H2 = X5(H1) and H3 = X6(H1) round in their products: within 2 eps max|H_k| of the
+    # printed polynomial entries at 50 digits (measured: 0, 0.36 eps and 0.46 eps)
+    p = pu6.params_from_frequencies(pu6.frequency_triple(3.534, 2.101, 1.109))
+    _, hs, _ = pu6.core._model_matrices(p)
+    for got, want in zip(hs, Reference50(p.alpha, p.beta, p.gamma).H):
+        assert np.all(_err(got.ravel(), sum(want.tolist(), [])) <= 2 * EPS * np.abs(got).max())
+
+
 @pytest.mark.parametrize("c", CORNERS)
 def test_tensor_weight_polynomials_match_reference(c):
     # bound: 2 eps (|c3| + |c2| m + |c1| m^2) per pair (measured: 0, the m are integers)

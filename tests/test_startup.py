@@ -84,12 +84,13 @@ def test_import_cli_loads_core_and_errors_only():
     assert _loaded("import pu6.cli") == {"pu6", "pu6.cli", "pu6.core", "pu6.errors"}
 
 
+# every subcommand builds H2 and H3 as the symmetry images X5(H1) and X6(H1), so
+# each loads pu6.symmetries
 @pytest.mark.parametrize("command, runs, absent", [
     ("verify", "verification", {"dynamics", "parallel", "fmt17"}),
-    ("scan", "positivity", {"dynamics", "representations", "verification", "symmetries"}),
-    ("simulate", "dynamics",
-     {"positivity", "hierarchy", "representations", "verification", "symmetries"}),
-    ("represent", "representations", {"dynamics", "verification", "symmetries", "fmt17"}),
+    ("scan", "positivity", {"dynamics", "representations", "verification"}),
+    ("simulate", "dynamics", {"positivity", "hierarchy", "representations", "verification"}),
+    ("represent", "representations", {"dynamics", "verification", "fmt17"}),
 ])
 def test_subcommand_loads_only_its_own_modules(tmp_path, command, runs, absent):
     (tmp_path / "c.json").write_text(json.dumps(TINY))

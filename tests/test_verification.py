@@ -72,3 +72,15 @@ def test_a_rejected_draw_fails_the_check_without_a_redraw():
     assert dual.status == "fail" and np.isnan(dual.residual)
     assert dual.detail == "2 of 20 draws rejected"
     assert {r.status for name, r in results.items() if name != "dual_flow_recovery"} == {"pass"}
+
+
+def test_the_images_of_h1_are_exact_rows_of_the_action_table(param_sets):
+    """H2 = X5(H1) and H3 = X6(H1) by construction: those rows have residual 0 as verify stacks them."""
+    gen, form, image = pu6.verification._ACTION_TABLE
+    rows = [i for i, row in enumerate(zip(gen, form, image)) if row in ((5, 1, 2), (6, 1, 3))]
+    for p in param_sets:
+        _, p = pu6.canonical_units(p)
+        H = np.stack(pu6.core._model_matrices(p)[1])
+        X = np.stack([pu6.symmetries.lie_generator(i, p) for i in range(1, 7)])
+        acted = pu6.symmetries._action_matrix(X[gen - 1], H[form - 1])
+        assert len(rows) == 2 and np.array_equal(acted[rows], H[[1, 2]])
